@@ -61,7 +61,7 @@ let args =
        then carries the sampler's snapshot count and overhead" );
     ( "--jobs",
       Arg.Set_int jobs,
-      "planner worker domains for the perf suite's pipeline phases (0 = runtime default)" );
+      "worker-pool domains for the perf suite's pipeline phases (0 = runtime default)" );
     ( "--serve-cli",
       Arg.Set_string serve_cli,
       "serve_cli binary for the perf suite's server_load phase (default: bin/serve_cli.exe next \

@@ -326,7 +326,7 @@ let jobs =
     value
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"planner worker domains for rotation synthesis (default: the runtime's recommended \
+        ~doc:"worker-pool domains for rotation synthesis (default: the runtime's recommended \
               domain count); output is bit-identical whatever the value")
 
 let backend_chain =

@@ -137,7 +137,7 @@ let metrics_cmd =
     (Cmd.info "metrics"
        ~doc:
          "validate and render a tgates-metrics/v1 stream: snapshot timeline (rotations/sec, heap, \
-          planner utilization), torn/duplicate-line detection, sampler-overhead gating")
+          worker-pool utilization), torn/duplicate-line detection, sampler-overhead gating")
     Term.(const run $ max_overhead $ require $ path)
 
 let requests_cmd =
@@ -191,7 +191,7 @@ let requests_cmd =
        ~doc:
          "reassemble a server trace into per-request waterfalls: one latency-table row per wire \
           request (req.trace/req.id span attributes are the grouping key, so spans emitted on \
-          planner worker domains fold back under their request), plus the slowest requests' span \
+          worker-pool domains fold back under their request), plus the slowest requests' span \
           waterfalls and a tail-latency CI gate")
     Term.(const run $ slowest $ fail_above $ expect $ path)
 

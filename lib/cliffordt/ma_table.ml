@@ -115,7 +115,7 @@ let truncate table max_t =
   else of_entries ~max_t (Array.sub table.entries 0 table.offsets.(max_t + 1))
 
 (* Tables are expensive to build once max_t grows; share them.  The
-   cache is consulted from planner worker domains, so it is mutex
+   cache is consulted from worker-pool domains, so it is mutex
    -guarded; holding the lock across [build] also means concurrent
    requests for the same depth build the table once, not N times. *)
 let cache : (int, t) Hashtbl.t = Hashtbl.create 4

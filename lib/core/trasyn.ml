@@ -45,8 +45,8 @@ let h_tcount = Obs.histogram ~buckets:(Array.init 33 (fun i -> float_of_int (4 *
    budgets over and over.  Caching the canonicalized chain turns every
    repeat into "fill one site + absorb one 4×4 boundary factor".
 
-   The cache is shared across domains (the Planner calls [synthesize]
-   concurrently), hence the mutex; cached interiors are read-only after
+   The cache is shared across domains (worker-pool domains call
+   [synthesize] concurrently), hence the mutex; cached interiors are read-only after
    publication, so handing the same chain to several domains is safe.
    The chain is computed while holding the lock — concurrent requests
    for the same key then dedup instead of racing.  FIFO eviction keeps

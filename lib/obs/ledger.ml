@@ -34,7 +34,7 @@ let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
 (* Ring, sink, and capacity share one lock: records are appended from
-   planner worker domains concurrently, and each JSONL line must hit
+   worker-pool domains concurrently, and each JSONL line must hit
    the channel exactly once and in one piece. *)
 let lock = Mutex.create ()
 let ring : record Queue.t = Queue.create ()
@@ -250,10 +250,10 @@ type backend_stats = {
   bs_len_mean : float;
 }
 
-(* Wall-time-free ordering: with --jobs N the planner finishes chains in
+(* Wall-time-free ordering: with --jobs N the worker pool finishes chains in
    a nondeterministic order, so records arrive shuffled and differ in
    wall_s; everything else is bit-identical to the --jobs 1 run (the
-   planner guarantees identical results).  Sorting on the record with
+   pool guarantees identical results).  Sorting on the record with
    wall_s zeroed makes every float accumulation below order-independent. *)
 let deterministic_order rs =
   List.sort (fun a b -> compare { a with wall_s = 0.0 } { b with wall_s = 0.0 }) rs

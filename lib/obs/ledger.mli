@@ -11,8 +11,8 @@
 
     Writers: [Synth.run_chain] appends one {e fresh} record per chain
     execution (success or failure), and the pipelines append {e cached}
-    replay records for rotation occurrences served by the planner dedup
-    or the memo caches — so a workflow run's ledger has exactly one
+    replay records for rotation occurrences served by the worker pool's dedup
+    or the memo — so a workflow run's ledger has exactly one
     record per rotation occurrence, including degraded and failed ones.
 
     Armed by {!to_file} (the CLIs' [--ledger FILE] flag) or the
@@ -42,7 +42,7 @@ type record = {
   cached : bool;  (** replay of a deduplicated / memoized execution *)
   source : string;
       (** where the word came from: ["fresh"] (a chain execution),
-          ["replay"] (planner dedup / memo cache), or ["store"] (served
+          ["replay"] (pool dedup / memo), or ["store"] (served
           from the persistent store).  Loaders default pre-source
           ledgers from [cached]. *)
   ok : bool;

@@ -116,7 +116,7 @@ let derive ~dt ~dump ~(prev : (string, float) Hashtbl.t) =
             | Some _ | None -> ()
           end
       | Obs.Gauge_value g ->
-          (* Planner per-domain utilization: busy-seconds accumulated per
+          (* Worker-pool per-domain utilization: busy-seconds accumulated per
              worker domain, differentiated against wall time. *)
           if starts_with ~prefix:"obs.planner.domain." n && ends_with ~suffix:".busy_s" n then begin
             match Hashtbl.find_opt prev n with
@@ -234,7 +234,7 @@ let loop st stop_flag =
      minor-heap size the sampler's own minor collections become
      stop-all-domains barriers that both stall busy workers and land in
      sampler_wall.  A roomy minor heap makes sampler-triggered barriers
-     rare — same reasoning as the planner's worker domains. *)
+     rare — same reasoning as the worker pool's domains. *)
   (let g = Gc.get () in
    let want = 4 * 1024 * 1024 in
    if g.Gc.minor_heap_size < want then Gc.set { g with Gc.minor_heap_size = want });

@@ -7,7 +7,7 @@
     - a JSONL metrics stream ([tgates-metrics/v1]): one meta line, then
       one ["snapshot"] object per tick carrying every counter, gauge and
       histogram summary plus derived series — rolling rotations/sec,
-      planner per-domain utilization, cache hit rates, heap gauges;
+      worker-pool per-domain utilization, cache hit rates, heap gauges;
     - a Prometheus-style text exposition file, atomically replaced each
       tick (write-temp-then-rename), for scraping.
 
@@ -82,7 +82,7 @@ val overhead_pct : snapshot list -> float
 
 val render_stream : Format.formatter -> snapshot list -> unit
 (** Human-readable timeline: one line per snapshot (rotations/sec, heap
-    words, planner utilization) plus a footer with sampler overhead. *)
+    words, worker-pool utilization) plus a footer with sampler overhead. *)
 
 val parse_exposition : string -> (int, string) result
 (** Validate Prometheus text exposition syntax; returns the number of

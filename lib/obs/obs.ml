@@ -27,7 +27,7 @@ end
 
 type counter = { cname : string; cell : int Atomic.t }
 
-(* Gauges hold a boxed float behind an [Atomic] so planner worker
+(* Gauges hold a boxed float behind an [Atomic] so worker-pool
    domains can update them without a data race (satellite of the
    multicore refactor: every metric cell is Atomic or mutex-guarded). *)
 type gauge = { gname : string; gcell : float Atomic.t }
@@ -535,12 +535,12 @@ let with_span_parent id f =
 (* ------------------------------------------------------------------ *)
 
 (* The ambient request: set by the server around each unit of work and
-   re-established by planner workers on their own domains, so every span
+   re-established by the worker pool on its own domains, so every span
    (and ledger record) emitted while synthesizing can name the wire
    request that caused it.  Domain-local like the span parent — and with
    the same caveat: DLS is shared by all systhreads of a domain, so two
    server worker *threads* interleaving on one domain would see each
-   other's context.  Planner workers are whole domains running one job
+   other's context.  Pool helpers are whole domains running one job
    at a time, so cross-domain attribution is exact. *)
 type request_ctx = { trace_id : string; request_id : string; batch_index : int }
 

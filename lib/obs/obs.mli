@@ -175,7 +175,7 @@ val set_span_attr : string -> string -> unit
 (** Attach a string attribute to the innermost open span in this domain;
     emitted in the span's JSONL event as ["attrs":{...}].  Setting the
     same key twice keeps the last value.  No-op when {!enabled} is false
-    or outside any span.  The planner tags its worker spans with a
+    or outside any span.  The worker pool tags its job spans with a
     ["backend"] attribute so [tgates-trace hotspots] can group per-span
     self-time by winning backend. *)
 
@@ -189,8 +189,8 @@ val with_span_parent : int -> (unit -> 'a) -> 'a
 (** {1 Request context}
 
     The ambient wire request.  The server wraps each unit of work in
-    {!with_request}; the planner re-establishes the submitting request's
-    context on its worker domains before running a job.  While a context
+    {!with_request}; the worker pool re-establishes the submitting
+    request's context on its domains before running a job.  While a context
     is set, every closing span gains [req.trace] / [req.id] (and
     [req.batch] for batch elements) attributes, and fresh [Ledger]
     records are stamped with the request id — so [tgates-trace requests]
@@ -200,7 +200,7 @@ val with_span_parent : int -> (unit -> 'a) -> 'a
     Like the span parent, the context is {e domain}-local (DLS), which
     all systhreads of a domain share: two server worker threads
     interleaving on one domain can observe each other's context, while
-    planner worker domains (one job at a time) are always exact. *)
+    pool helper domains (one job at a time) are always exact. *)
 
 type request_ctx = {
   trace_id : string;  (** one id per server process/boot *)

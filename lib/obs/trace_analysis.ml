@@ -194,7 +194,7 @@ type hotspot = {
 }
 
 (* Grouping key: the span name, refined by the [backend] attribute when
-   present — planner worker spans all share one name, and per-backend
+   present — worker-pool job spans all share one name, and per-backend
    self-time is the interesting axis post-registry. *)
 let hotspot_key (s : span) =
   match List.assoc_opt "backend" s.attrs with
@@ -258,7 +258,7 @@ type request = {
 
 (* All spans belonging to top-level request (trace, id): the request's
    own spans plus its batch elements' ("id.N") — possibly emitted from
-   other domains (planner workers). *)
+   other domains (worker-pool helpers). *)
 let request_spans tr ~trace ~id =
   List.filter
     (fun (s : span) ->

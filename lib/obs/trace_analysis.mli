@@ -84,7 +84,7 @@ val hotspots : t -> hotspot list
 (** Per span {i name}: call count, inclusive and self time, minor
     allocation — sorted by self time, descending.  Spans carrying a
     ["backend"] attribute are grouped under ["name\[backend\]"], so
-    planner worker spans split into one row per winning backend.  The
+    worker-pool job spans split into one row per winning backend.  The
     self times of all hotspots sum to {!total_wall} (up to clamping of
     measurement jitter), so the table accounts for the whole run. *)
 
@@ -100,7 +100,7 @@ val folded_stacks : t -> (string * float) list
     [req.trace] / [req.id] attributes ([Obs.with_request]); batch
     elements get derived ids ["rN.i"].  {!requests} folds a trace into
     one row per top-level wire request — the spans may have been
-    emitted from any planner worker domain; the attributes, not the
+    emitted from any worker-pool domain; the attributes, not the
     tree, are the grouping key. *)
 
 type request = {
@@ -131,7 +131,7 @@ val render_request_waterfall : Format.formatter -> t -> request -> unit
 (** One request's spans as an indented waterfall: offset from request
     start, duration, name (with backend/outcome/op attrs and the batch
     element id when present).  Spans whose parent lies outside the
-    request — planner workers grafted under the caller — start new
+    request — pool jobs grafted under the caller — start new
     waterfall roots. *)
 
 (** {1 Rendering (what the CLI prints)} *)

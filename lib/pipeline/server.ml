@@ -7,7 +7,7 @@
    request id ("r<seq>"), echoed in its response; work items establish
    an [Obs.request_ctx] (the server's boot trace id + the request id)
    around processing, and the batch path re-establishes per-element
-   contexts ("r<seq>.<i>") on the planner's worker domains — so spans
+   contexts ("r<seq>.<i>") on the worker pool's domains — so spans
    and ledger records emitted anywhere name the wire request. *)
 
 let c_requests = Obs.counter "server.requests"
@@ -220,29 +220,30 @@ let synthesize_with_retries t (r : rotation) =
   in
   attempt 0
 
-let rotation_response t (r : rotation) =
-  match synthesize_with_retries t r with
+(* Count one rotation's outcome and render its response; [extra] rides
+   on a failure response. *)
+let outcome_response t (r : rotation) = function
   | Ok (a, source, retries) ->
       Obs.incr c_served;
       locked t (fun () -> t.n_served <- t.n_served + 1);
       success_response r a source retries
-  | Error (f, retries) ->
+  | Error (f, extra) ->
       Obs.incr c_failed;
       count_error t (op_of_target r.target);
       locked t (fun () -> t.n_failed <- t.n_failed + 1);
-      error_response
-        ~extra:[ ("retries", Obs.Json.Num (float_of_int retries)) ]
-        ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
+      error_response ~extra ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
 
-(* The request context a rotation's synthesis should run under — the
-   planner re-establishes it on whatever domain picks the job up. *)
-let ctx_of t (r : rotation) =
-  Some { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index }
+let rotation_response t r =
+  outcome_response t r
+    (Result.map_error
+       (fun (f, retries) -> (f, [ ("retries", Obs.Json.Num (float_of_int retries)) ]))
+       (synthesize_with_retries t r))
 
-(* A batch routes through the deduplicating multicore planner: repeated
-   angles synthesize once, distinct angles run across domains.  Each
-   job carries the context of the first element with its key (dedup
-   folds the rest away — their responses replay the job's result). *)
+(* A batch runs on the deduplicating worker pool: repeated angles
+   synthesize once, distinct angles run across domains.  Each element
+   is submitted under its own request context, which the pool
+   re-establishes on whatever domain runs the job; a deduped element's
+   response replays the first element's result. *)
 let batch_response t id rid rotations =
   let open Obs.Json in
   (* The dedup key carries the gate set: the same angle at the same ε
@@ -255,35 +256,22 @@ let batch_response t id rid rotations =
           r ))
       rotations
   in
-  let plan = Planner.plan keyed in
   let results =
-    Planner.execute ?jobs:t.cfg.planner_jobs
-      ~ctx:(fun r -> ctx_of t r)
-      ~run:(fun ~deadline:_ r ->
-        match synthesize_with_retries t r with
-        | Ok (a, source, retries) -> Ok (a, source, retries)
-        | Error (f, _) -> Error f)
-      plan
+    Pool.run ?jobs:t.cfg.planner_jobs (fun pool ->
+        List.iter
+          (fun (key, r) ->
+            let ctx =
+              { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index }
+            in
+            Obs.with_request (Some ctx) (fun () ->
+                ignore
+                  (Pool.submit pool key (fun ~deadline:_ ->
+                       Result.map_error fst (synthesize_with_retries t r)))))
+          keyed;
+        List.map (fun (key, r) -> (r, Pool.await pool key)) keyed)
   in
   let sub =
-    List.map
-      (fun (key, r) ->
-        match Hashtbl.find_opt results key with
-        | Some (Ok (a, source, retries)) ->
-            Obs.incr c_served;
-            locked t (fun () -> t.n_served <- t.n_served + 1);
-            success_response r a source retries
-        | Some (Error f) ->
-            Obs.incr c_failed;
-            count_error t (op_of_target r.target);
-            locked t (fun () -> t.n_failed <- t.n_failed + 1);
-            error_response ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
-        | None ->
-            Obs.incr c_failed;
-            count_error t (op_of_target r.target);
-            locked t (fun () -> t.n_failed <- t.n_failed + 1);
-            error_response ~rid:r.rid r.id "internal" "planner returned no result for this job")
-      keyed
+    List.map (fun (r, res) -> outcome_response t r (Result.map_error (fun f -> (f, [])) res)) results
   in
   Obj [ ("id", id); ("request_id", Str rid); ("ok", Bool true); ("op", Str "batch"); ("results", Arr sub) ]
 
@@ -345,11 +333,11 @@ let worker_loop t =
         let wait_s = Obs.Clock.elapsed_s () -. admitted_at in
         let rid = work_rid w and op = work_op w in
         (* Context + span around the whole processing step: every span
-           opened below (chain runs, store lookups, planner jobs via
-           [ctx_of]) carries this request's identity.  NB the context
-           is domain-local, so with [workers > 1] two worker *threads*
-           sharing this domain can bleed contexts; worker domains
-           spawned by the planner are always exact. *)
+           opened below (chain runs, store lookups, pool jobs) carries
+           this request's identity.  NB the context is domain-local,
+           so with [workers > 1] two worker *threads* sharing this
+           domain can bleed contexts; pool helper domains are always
+           exact. *)
         let ctx =
           Some { Obs.trace_id = t.trace_id; request_id = rid; batch_index = -1 }
         in

@@ -38,13 +38,13 @@
     elements get "r<seq>.<i>").  Work items run under
     [Obs.with_request { trace_id; request_id; _ }] — [trace_id] is one
     id per server instance — inside a ["server.request"] span, and the
-    batch path re-establishes per-element contexts on the planner's
-    worker domains, so every span and fresh ledger record emitted
+    batch path re-establishes per-element contexts on the worker
+    pool's domains, so every span and fresh ledger record emitted
     during processing names the wire request ([tgates-trace requests]
     reassembles the per-request waterfall).  Caveat: the context is
     domain-local, so with [workers > 1] two worker {e threads} sharing
     the initial domain can bleed contexts between interleaved requests;
-    planner worker domains are always exact.
+    pool helper domains are always exact.
 
     {b Durability & degradation}: misses run through [Synth.run_chain]
     (store consultation included when [Synth.set_store] armed one);
@@ -79,14 +79,14 @@ type config = {
   backoff_base_s : float;  (** first backoff; doubles per retry *)
   backoff_cap_s : float;  (** backoff ceiling *)
   request_deadline_s : float option;  (** default per-request deadline *)
-  planner_jobs : int option;  (** planner domains for [batch] ops *)
+  planner_jobs : int option;  (** worker-pool domains for [batch] ops *)
   seed : int;  (** jitter RNG seed (deterministic backoff) *)
 }
 
 val default_config : config
 (** ε 0.07, [Gateset.default], the standard Rz ladder, 1 worker,
     queue 64, 3 retries, base 0.05 s capped at 1 s, no default
-    deadline, planner default domains, seed 0. *)
+    deadline, the pool's default domain count, seed 0. *)
 
 type t
 

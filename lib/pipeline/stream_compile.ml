@@ -1,29 +1,31 @@
-(** Streaming compilation: parse → windowed optimize → synthesize →
-    emit, all interleaved, with bounded memory end to end.
+(** The compile engine: classify → memo → synthesize → emit, with
+    bounded memory end to end.
 
-    The producer (calling domain) pulls instructions from [next], runs
-    them through a {!Stream_opt} window, classifies what the window
-    gives up, and feeds unique synthesis targets to a pool of worker
-    domains over a *bounded* job queue — when the queue is full the
-    producer blocks (backpressure), so parsing never outruns synthesis
-    by more than the queue.  Results are emitted strictly in input
-    order from a depth-bounded reorder FIFO, interleaved with parsing.
+    The producer (calling domain) pulls instructions from [next],
+    optionally runs them through a {!Stream_opt} window, classifies
+    what it gets, serves repeats from the memo, and submits unique
+    synthesis targets to a bounded {!Pool} — when the pool's queue is
+    full the producer runs queued jobs itself (backpressure), so
+    parsing never outruns synthesis by more than the queue.  Results
+    are emitted strictly in input order from a depth-bounded reorder
+    FIFO, interleaved with parsing.  [Pipeline] runs the same engine
+    over a transpiled circuit with no window.
 
     Determinism: per-key synthesis is deterministic and occurrences are
     emitted in input order, so the output is byte-identical whatever
-    the worker count — and identical to feeding the same input through
+    the domain count — and identical to feeding the same input through
     {!run_circuit} in one batch, which is how the runtest bit-identity
     gate checks the streaming machinery. *)
 
-let g_queue_depth = Obs.gauge "obs.planner.queue_depth"
-let c_jobs = Obs.counter "obs.planner.jobs"
-let c_dedup = Obs.counter "obs.planner.dedup_hits"
 let c_bp_waits = Obs.counter "obs.stream.backpressure_waits"
 let c_in = Obs.counter "obs.stream.gates_in"
 let c_out = Obs.counter "obs.stream.gates_out"
-let c_memo_hit = Obs.counter "pipeline.stream_cache.hit"
-let c_memo_miss = Obs.counter "pipeline.stream_cache.miss"
-let c_evictions = Obs.counter "pipeline.stream_cache.evictions"
+let c_hit = Obs.counter "pipeline.memo.hit"
+let c_miss = Obs.counter "pipeline.memo.miss"
+let c_evictions = Obs.counter "pipeline.memo.evictions"
+let c_degraded = Obs.counter "pipeline.rotation.degraded"
+let h_rot_tcount =
+  Obs.histogram ~buckets:(Array.init 41 (fun i -> float_of_int (4 * i))) "pipeline.rotation.t_count"
 let g_heap_peak = Obs.gauge "obs.heap.peak_words"
 
 (* ------------------------------------------------------------------ *)
@@ -72,220 +74,201 @@ type stats = {
   peak_heap_words : int;
 }
 
+type degradation = {
+  gate : string;
+  backend : string;
+  fallbacks : int;
+  achieved : float;
+  requested : float;
+}
+
 (* ------------------------------------------------------------------ *)
-(* Memo cache (bounded, flush-all — same policy as Pipeline's)        *)
+(* Canonical targets and the memo                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* [Basis.norm_angle] already wraps into (−π, π] and snaps π/4
+   multiples, but leaves −0.0 alone — whose "%.10f" key ("-0.0000…")
+   differs from 0.0's, a spurious memo/dedup miss.  Synthesis uses the
+   same canonical angle as the key, so one job's word serves every
+   occurrence that shares the key. *)
+let canonical_angle a =
+  let a = Basis.norm_angle a in
+  if a = 0.0 then 0.0 else a
+
+let chain_of cfg =
+  match (cfg.chain, cfg.ir) with
+  | Some c, _ -> c
+  | None, Settings.Rz_ir -> Synth.rz_chain ()
+  | None, Settings.U3_ir -> Synth.u3_chain
+
+(* The IR decides the target kind: under the U3 IR every rotation is a
+   Unitary of its canonical U3 angles; under the Rz IR every rotation
+   must be an Rz.  The key — canonical target, ε, chain id, gate set —
+   is the one memo and dedup identity: two chains or alphabets can
+   synthesize the same target at the same ε to different words, so
+   they never share a cell. *)
+let classify cfg =
+  let chain_id = Synth.chain_id (chain_of cfg) and gs = cfg.gate_set.Gateset.name in
+  let key target = Printf.sprintf "%s@%.6g|%s|%s" target cfg.epsilon chain_id gs in
+  let angle a = Printf.sprintf "%.10f" a in
+  fun g ->
+    match (cfg.ir, g) with
+    | Settings.Rz_ir, Qgate.Rz theta ->
+        let theta = canonical_angle theta in
+        Ok (key (angle theta), Synth.Rz theta)
+    | Settings.Rz_ir, _ ->
+        Error
+          (Robust.Backend_error
+             (Printf.sprintf "non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
+    | Settings.U3_ir, _ ->
+        let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+        let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
+        Ok
+          ( key (Printf.sprintf "%s/%s/%s" (angle t) (angle p) (angle l)),
+            Synth.Unitary (Mat2.u3 t p l) )
+
+(* The memo holds verified successes only: failures are
+   deadline-relative (a timeout now says nothing about the next run's
+   budget).  It is bounded: past [capacity] entries it is flushed
+   wholesale (counted as an eviction) rather than grown without limit —
+   flush-all beats LRU because hits are dominated by repeats within one
+   circuit.  It is touched only on the producer, in emission order, so
+   its contents are independent of the domain count.  Beside it, the
+   exact words of trivial rotations (a step-0 table scan per distinct
+   gate, massively repeated in QAOA-like inputs) are cached under the
+   same bound. *)
 let memo : (string, Robust.attempt) Hashtbl.t = Hashtbl.create 256
-let memo_capacity = ref 65_536
+let exact_words : (string, Qgate.t list option) Hashtbl.t = Hashtbl.create 256
+let capacity = ref 65_536
 
 let set_cache_capacity n =
   if n < 1 then invalid_arg "Stream_compile.set_cache_capacity: capacity must be positive";
-  memo_capacity := n
-
-(* Trivial rotations repeat massively in QAOA-like streams; cache the
-   step-0 table scan per distinct gate ([None] = genuinely nontrivial). *)
-let trivial_cache : (string, Qgate.t list option) Hashtbl.t = Hashtbl.create 256
+  capacity := n
 
 let clear_cache () =
   Hashtbl.reset memo;
-  Hashtbl.reset trivial_cache
+  Hashtbl.reset exact_words;
+  Trasyn.clear_chain_cache ()
 
-let cache_put tbl key v =
-  if Hashtbl.length tbl >= !memo_capacity then begin
+let bounded_add tbl key v =
+  if Hashtbl.length tbl >= !capacity then begin
     Obs.incr c_evictions;
     Hashtbl.reset tbl
   end;
   Hashtbl.add tbl key v
 
-let trivial_word ~gs g =
-  let key = gs ^ "|" ^ Qgate.to_string g in
-  match Hashtbl.find_opt trivial_cache key with
+(* Clifford+T words are written in matrix order (leftmost factor applied
+   last); instruction streams run in time order, so splicing a word
+   reverses it. *)
+let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
+
+(* The exact word of a trivial (≤1-T) rotation, from the step-0 table.
+   Tolerant matching: a gate can pass the angle-space triviality test
+   while its matrix sits a few ulps away from the exact operator
+   (wrapped angles), which is a harmless substitution at circuit
+   thresholds.  [None] when the gate genuinely needs synthesis. *)
+let exact_word ~gate_set g =
+  let key = gate_set ^ "|" ^ Qgate.to_string g in
+  match Hashtbl.find_opt exact_words key with
   | Some w -> w
   | None ->
-      let w =
-        Option.map Pipeline.word_to_gates (Pipeline.exact_word_of_trivial ~gate_set:gs g)
-      in
-      cache_put trivial_cache key w;
+      let m = Qgate.to_mat2 g in
+      let best = ref None in
+      Array.iter
+        (fun (e : Ma_table.entry) ->
+          if Mat2.distance m e.Ma_table.mat < 1e-6 then
+            match !best with
+            | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
+            | _ -> best := Some e)
+        (Ma_table.get_for ~gate_set 1).Ma_table.entries;
+      let w = Option.map (fun (e : Ma_table.entry) -> word_to_gates e.Ma_table.seq) !best in
+      bounded_add exact_words key w;
       w
 
-(* ------------------------------------------------------------------ *)
-(* Bounded blocking job queue (the backpressure point)                *)
-(* ------------------------------------------------------------------ *)
-
-type 'a bq = {
-  buf : 'a option array;
-  mutable head : int;
-  mutable count : int;
-  lock : Mutex.t;
-  not_full : Condition.t;
-  not_empty : Condition.t;
-  mutable closed : bool;
-}
-
-let bq_create n =
-  { buf = Array.make n None; head = 0; count = 0; lock = Mutex.create ();
-    not_full = Condition.create (); not_empty = Condition.create (); closed = false }
-
-let bq_push q v waits =
-  Mutex.lock q.lock;
-  let waited = ref false in
-  while q.count >= Array.length q.buf && not q.closed do
-    if not !waited then begin
-      waited := true;
-      incr waits;
-      Obs.incr c_bp_waits
-    end;
-    Condition.wait q.not_full q.lock
-  done;
-  if not q.closed then begin
-    q.buf.((q.head + q.count) mod Array.length q.buf) <- Some v;
-    q.count <- q.count + 1;
-    Obs.set_gauge g_queue_depth (float_of_int q.count);
-    Condition.signal q.not_empty
-  end;
-  Mutex.unlock q.lock
-
-let bq_pop q =
-  Mutex.lock q.lock;
-  while q.count = 0 && not q.closed do
-    Condition.wait q.not_empty q.lock
-  done;
-  let r =
-    if q.count = 0 then None
-    else begin
-      let v = q.buf.(q.head) in
-      q.buf.(q.head) <- None;
-      q.head <- (q.head + 1) mod Array.length q.buf;
-      q.count <- q.count - 1;
-      Obs.set_gauge g_queue_depth (float_of_int q.count);
-      Condition.signal q.not_full;
-      v
-    end
-  in
-  Mutex.unlock q.lock;
-  r
-
-let bq_close q =
-  Mutex.lock q.lock;
-  q.closed <- true;
-  Condition.broadcast q.not_empty;
-  Condition.broadcast q.not_full;
-  Mutex.unlock q.lock
-
-(* Same rationale as Planner: synthesis allocates heavily and minor GCs
-   are stop-all-domains barriers, so multi-domain runs get a roomier
-   minor heap (restored afterwards). *)
-let worker_minor_heap_words = 4 * 1024 * 1024
-
-let enlarge_minor_heap () =
-  let g = Gc.get () in
-  if g.Gc.minor_heap_size < worker_minor_heap_words then
-    Gc.set { g with Gc.minor_heap_size = worker_minor_heap_words };
-  g
+(* Provenance of an occurrence served by the memo or by another
+   occurrence's job: [Synth.run_chain] writes one fresh ledger record
+   per chain execution, so every other occurrence gets a [cached]
+   replay record and a run's ledger holds exactly
+   [rotations_synthesized] records. *)
+let replay_record ~chain ~gate_set ~requested target (a : Robust.attempt) =
+  {
+    Ledger.target = Synth.target_id target;
+    gate_set;
+    chain;
+    eps_req = requested;
+    rung_eps = a.Robust.rung_epsilon;
+    distance = a.Robust.distance;
+    backend = a.Robust.backend;
+    fallbacks = a.Robust.fallbacks;
+    attempts = a.Robust.fallbacks + 1;
+    t_count = Ctgate.t_count a.Robust.word;
+    word_len = List.length a.Robust.word;
+    wall_s = 0.0;
+    degraded = a.Robust.fallbacks > 0 || a.Robust.distance > requested;
+    cached = true;
+    source = "replay";
+    ok = true;
+    failure = None;
+    request_id = "";
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* In-order output slots: a Direct gate, a precomputed word, or a
-   rotation awaiting its (possibly still running) synthesis. *)
-type out_item =
+(* In-order output slots: a Direct gate, an exact word, or a rotation
+   served by the memo ([hit]) or awaiting its pool job. *)
+type slot =
   | Direct of Circuit.instr
   | Word of Qgate.t list * int array
-  | Rotation of { key : string; qubits : int array }
+  | Rotation of rotation
 
-exception Abort_run
+and rotation = {
+  key : string;
+  gate : Qgate.t;
+  target : Synth.target;
+  qubits : int array;
+  hit : Robust.attempt option;
+}
 
-let classify ~epsilon ~tag ~gs g =
-  match g with
-  | Qgate.Rz theta ->
-      let theta = Pipeline.canonical_angle theta in
-      (Pipeline.rz_key ~epsilon ~tag ~gate_set:gs theta, Synth.Rz theta)
-  | _ ->
-      let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-      let t = Pipeline.canonical_angle t
-      and p = Pipeline.canonical_angle p
-      and l = Pipeline.canonical_angle l in
-      (Pipeline.u3_key ~epsilon ~tag ~gate_set:gs (t, p, l), Synth.Unitary (Mat2.u3 t p l))
+exception Abort of Robust.failure
 
 let heap_sample () =
   let s = Gc.quick_stat () in
   Obs.max_gauge g_heap_peak (float_of_int s.Gc.heap_words)
 
-let run cfg ~next ~emit : (stats, Robust.failure) result =
-  let chain =
-    match cfg.chain with
-    | Some c -> c
-    | None -> (
-        match cfg.ir with
-        | Settings.Rz_ir -> Synth.rz_chain ()
-        | Settings.U3_ir -> Synth.u3_chain)
-  in
-  let tag = Synth.chain_id chain in
+let compile cfg ~window ~on_degraded ~next ~emit =
+  let chain = chain_of cfg in
+  let chain_id = Synth.chain_id chain in
   let gs = cfg.gate_set.Gateset.name in
+  let classify = classify cfg in
   let scfg =
     Synth.config ~gate_set:cfg.gate_set ~trasyn:cfg.trasyn ~budgets:cfg.budgets
       ~epsilon:cfg.epsilon ()
   in
-  let queue = bq_create cfg.queue in
-  let results : (string, (Robust.attempt, Robust.failure) result) Hashtbl.t =
-    Hashtbl.create 256
+  (* The timing span closes before the attribute is set, so the
+     ["backend"] tag lands on the pool's [planner.job] span (what
+     hotspots groups by). *)
+  let synthesize target ~deadline =
+    let r =
+      Obs.span "pipeline.synthesize_rotation" (fun () ->
+          Synth.run_chain ~deadline ~config:scfg chain target)
+    in
+    Result.iter (fun (a : Robust.attempt) -> Obs.set_span_attr "backend" a.Robust.backend) r;
+    r
   in
-  let results_lock = Mutex.create () in
-  let result_ready = Condition.create () in
-  let job_deadline () =
-    match cfg.rotation_budget with
-    | None -> cfg.deadline
-    | Some b -> Obs.Deadline.earliest cfg.deadline (Obs.Deadline.after b)
-  in
-  let exec_target target =
-    Obs.span "planner.job" (fun () ->
-        match
-          Obs.span "pipeline.synthesize_rotation" (fun () ->
-              Synth.run_chain ~deadline:(job_deadline ()) ~config:scfg chain target)
-        with
-        | Ok a ->
-            Obs.set_span_attr "backend" a.Robust.backend;
-            Ok a
-        | Error _ as e ->
-            Obs.set_span_attr "backend" "failed";
-            e
-        | exception Robust.Failure_exn f ->
-            Obs.set_span_attr "backend" "failed";
-            Error f
-        | exception e ->
-            (* A worker domain must never die mid-stream. *)
-            Obs.set_span_attr "backend" "failed";
-            Error (Robust.Backend_error (Printexc.to_string e)))
-  in
-  let post key r =
-    Mutex.lock results_lock;
-    Hashtbl.replace results key r;
-    Condition.broadcast result_ready;
-    Mutex.unlock results_lock
-  in
-  let worker parent () =
-    ignore (enlarge_minor_heap ());
-    Obs.with_span_parent parent (fun () ->
-        let rec loop () =
-          match bq_pop queue with
-          | None -> ()
-          | Some (key, target) ->
-              post key (exec_target target);
-              loop ()
-        in
-        loop ())
-  in
-  (* Producer-side accounting (all refs touched only on this domain). *)
+  Pool.run ~jobs:cfg.jobs ~capacity:cfg.queue ~deadline:cfg.deadline
+    ?job_budget:cfg.rotation_budget
+  @@ fun pool ->
+  (* Producer-side accounting (all touched only on this domain). *)
   let gates_in = ref 0 and gates_out = ref 0 in
   let t_count = ref 0 and cliffords = ref 0 in
   let nsynth = ref 0 and unique = ref 0 in
   let total_err = ref 0.0 and degraded = ref 0 in
-  let waits = ref 0 in
-  let failure = ref None in
-  let out : out_item Queue.t = Queue.create () in
-  let inflight : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let out : slot Queue.t = Queue.create () in
+  (* Keys whose job this run submitted: the first occurrence emitted is
+     covered by the fresh ledger record and fills the memo. *)
+  let fresh : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let emit_instr (i : Circuit.instr) =
     incr gates_out;
     Obs.incr c_out;
@@ -293,19 +276,36 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
     else if Qgate.is_counted_clifford i.Circuit.gate then incr cliffords;
     emit i
   in
-  let emit_word gates qubits =
-    List.iter (fun g -> emit_instr (Circuit.instr g qubits)) gates
-  in
-  let account (a : Robust.attempt) =
+  let emit_word gates qubits = List.iter (fun g -> emit_instr (Circuit.instr g qubits)) gates in
+  (* The one emission pass: every occurrence's accounting happens here,
+     in input order. *)
+  let emit_rotation r (a : Robust.attempt) =
     incr nsynth;
     total_err := !total_err +. a.Robust.distance;
-    if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then incr degraded
+    if Option.is_none r.hit && Hashtbl.mem fresh r.key then begin
+      Hashtbl.remove fresh r.key;
+      Obs.observe h_rot_tcount (float_of_int (Ctgate.t_count a.Robust.word));
+      bounded_add memo r.key a
+    end
+    else if Ledger.enabled () then
+      Ledger.record (replay_record ~chain:chain_id ~gate_set:gs ~requested:cfg.epsilon r.target a);
+    if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then begin
+      incr degraded;
+      Obs.incr c_degraded;
+      on_degraded
+        {
+          gate = Qgate.to_string r.gate;
+          backend = a.Robust.backend;
+          fallbacks = a.Robust.fallbacks;
+          achieved = a.Robust.distance;
+          requested = cfg.epsilon;
+        }
+    end;
+    emit_word (word_to_gates a.Robust.word) r.qubits
   in
-  (* Emit the FIFO head if its result is available.  The memo is only
-     ever touched on this domain, in emission order, so cache contents
-     and evictions are independent of the worker count — part of the
-     byte-identity guarantee. *)
-  let try_resolve_head () =
+  (* Emit the FIFO head if its result is in; with [block], wait for it,
+     running queued jobs meanwhile.  False when nothing was emitted. *)
+  let emit_head ~block =
     match Queue.peek_opt out with
     | None -> false
     | Some (Direct i) ->
@@ -316,116 +316,68 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
         ignore (Queue.pop out);
         emit_word gates qubits;
         true
-    | Some (Rotation { key; qubits }) -> (
-        match Hashtbl.find_opt memo key with
-        | Some a ->
+    | Some (Rotation r) -> (
+        let result =
+          match r.hit with
+          | Some a -> Some (Ok a)
+          | None -> if block then Some (Pool.await pool r.key) else Pool.poll pool r.key
+        in
+        match result with
+        | None -> false
+        | Some (Error f) -> raise (Abort f)
+        | Some (Ok a) ->
             ignore (Queue.pop out);
-            account a;
-            emit_word (Pipeline.word_to_gates a.Robust.word) qubits;
-            true
-        | None -> (
-            Mutex.lock results_lock;
-            let r = Hashtbl.find_opt results key in
-            Mutex.unlock results_lock;
-            match r with
-            | Some (Ok a) ->
-                cache_put memo key a;
-                Hashtbl.remove inflight key;
-                ignore (Queue.pop out);
-                account a;
-                emit_word (Pipeline.word_to_gates a.Robust.word) qubits;
-                true
-            | Some (Error f) ->
-                failure := Some f;
-                false
-            | None -> false))
+            emit_rotation r a;
+            true)
   in
-  let drain_ready () =
-    while !failure = None && try_resolve_head () do
-      ()
-    done;
-    if !failure <> None then raise Abort_run
-  in
-  (* Block until the head's result lands (checked under the results
-     lock so a completion between drain and wait cannot be missed). *)
-  let wait_for_head () =
-    drain_ready ();
-    if Queue.length out > 0 then begin
-      Mutex.lock results_lock;
-      (match Queue.peek_opt out with
-      | Some (Rotation { key; _ })
-        when (not (Hashtbl.mem results key)) && not (Hashtbl.mem memo key) ->
-          Condition.wait result_ready results_lock
-      | _ -> ());
-      Mutex.unlock results_lock
-    end
-  in
-  (* Classify one gate the window gave up and append its output slot. *)
+  let drain () = while emit_head ~block:false do () done in
+  let drain_to n = while Queue.length out > n do ignore (emit_head ~block:true) done in
+  (* Classify one gate and append its output slot. *)
   let handle (g : Circuit.instr) =
     if not (Qgate.is_rotation g.Circuit.gate) then Queue.push (Direct g) out
     else
-      match trivial_word ~gs g.Circuit.gate with
+      match exact_word ~gate_set:gs g.Circuit.gate with
       | Some gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
       | None ->
-          let key, target = classify ~epsilon:cfg.epsilon ~tag ~gs g.Circuit.gate in
-          if Hashtbl.mem memo key then Obs.incr c_memo_hit
-          else if Hashtbl.mem inflight key then Obs.incr c_dedup
-          else begin
-            Obs.incr c_memo_miss;
-            Obs.incr c_jobs;
-            incr unique;
-            Hashtbl.add inflight key ();
-            if cfg.jobs <= 1 then post key (exec_target target)
-            else bq_push queue (key, target) waits
-          end;
-          Queue.push (Rotation { key; qubits = g.Circuit.qubits }) out
+          let key, target =
+            match classify g.Circuit.gate with Ok kt -> kt | Error f -> raise (Abort f)
+          in
+          let hit = Hashtbl.find_opt memo key in
+          (match hit with
+          | Some _ -> Obs.incr c_hit
+          | None ->
+              if Pool.submit pool key (synthesize target) then begin
+                Obs.incr c_miss;
+                incr unique;
+                Hashtbl.replace fresh key ()
+              end);
+          let qubits = g.Circuit.qubits in
+          Queue.push (Rotation { key; gate = g.Circuit.gate; target; qubits; hit }) out
   in
-  Obs.span "pipeline.stream_compile" @@ fun () ->
-  let parent = Obs.current_span_id () in
-  let saved_gc = if cfg.jobs > 1 then Some (enlarge_minor_heap ()) else None in
-  let workers =
-    if cfg.jobs > 1 then List.init (cfg.jobs - 1) (fun _ -> Domain.spawn (worker parent))
-    else []
+  let window = if window then Some (Stream_opt.create ~window:cfg.window cfg.ir) else None in
+  let rec pump () =
+    match next () with
+    | None -> ()
+    | Some instr ->
+        incr gates_in;
+        Obs.incr c_in;
+        (match window with Some w -> Stream_opt.push w instr ~emit:handle | None -> handle instr);
+        drain ();
+        (* Reorder-FIFO bound: past [depth] pending slots, stall the
+           producer until the head result lands. *)
+        drain_to cfg.depth;
+        if !gates_in land 1023 = 0 then heap_sample ();
+        pump ()
   in
-  let joined = ref false in
-  let shutdown () =
-    if not !joined then begin
-      joined := true;
-      bq_close queue;
-      List.iter Domain.join workers;
-      match saved_gc with Some g -> Gc.set g | None -> ()
-    end
-  in
-  Fun.protect ~finally:shutdown @@ fun () ->
-  let window = Stream_opt.create ~window:cfg.window cfg.ir in
-  let body () =
-    let rec pump () =
-      match next () with
-      | None -> ()
-      | Some instr ->
-          incr gates_in;
-          Obs.incr c_in;
-          Stream_opt.push window instr ~emit:handle;
-          drain_ready ();
-          (* Reorder-FIFO bound: past [depth] pending slots, stall the
-             producer until the head result lands. *)
-          while Queue.length out > cfg.depth && !failure = None do
-            wait_for_head ();
-            drain_ready ()
-          done;
-          if !gates_in land 1023 = 0 then heap_sample ();
-          pump ()
-    in
+  match
     pump ();
-    Stream_opt.flush window ~emit:handle;
-    while Queue.length out > 0 do
-      wait_for_head ();
-      drain_ready ()
-    done;
+    Option.iter (fun w -> Stream_opt.flush w ~emit:handle) window;
+    drain_to 0;
     heap_sample ()
-  in
-  match body () with
+  with
   | () ->
+      let waits = Pool.backpressure_waits pool in
+      Obs.incr ~by:waits c_bp_waits;
       Ok
         {
           gates_in = !gates_in;
@@ -437,19 +389,20 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
           dedup_hits = !nsynth - !unique;
           total_synth_error = !total_err;
           degraded = !degraded;
-          backpressure_waits = !waits;
+          backpressure_waits = waits;
           peak_heap_words = int_of_float (Obs.gauge_value g_heap_peak);
         }
-  | exception Abort_run -> (
-      match !failure with
-      | Some f -> Error f
-      | None -> Error (Robust.Backend_error "stream_compile: aborted without failure"))
+  | exception Abort f -> Error f
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_circuit cfg (c : Circuit.t) : (Circuit.t * stats, Robust.failure) result =
+let run cfg ~next ~emit =
+  Obs.span "pipeline.stream_compile" (fun () ->
+      compile cfg ~window:true ~on_degraded:ignore ~next ~emit)
+
+let compile_circuit cfg ~window ~on_degraded (c : Circuit.t) =
   let rem = ref c.Circuit.instrs in
   let next () =
     match !rem with
@@ -459,11 +412,16 @@ let run_circuit cfg (c : Circuit.t) : (Circuit.t * stats, Robust.failure) result
         Some i
   in
   let out = ref [] in
-  match run cfg ~next ~emit:(fun i -> out := i :: !out) with
-  | Ok st -> Ok (Circuit.make c.Circuit.n_qubits (List.rev !out), st)
-  | Error f -> Error f
+  compile cfg ~window ~on_degraded ~next ~emit:(fun i -> out := i :: !out)
+  |> Result.map (fun st -> (Circuit.make c.Circuit.n_qubits (List.rev !out), st))
 
-let run_qasm cfg reader ~on_qreg ~emit : (stats, Robust.failure) result =
+let run_circuit cfg c =
+  Obs.span "pipeline.stream_compile" (fun () ->
+      compile_circuit cfg ~window:true ~on_degraded:ignore c)
+
+let compile_ir cfg ~on_degraded c = compile_circuit cfg ~window:false ~on_degraded c
+
+let run_qasm cfg reader ~on_qreg ~emit =
   let next () =
     let rec go () =
       match Qasm_reader.next_event reader with

@@ -1,21 +1,26 @@
-(** Streaming compilation: incremental parse → windowed optimization →
-    planned synthesis → in-order emission, all interleaved, with
-    bounded memory end to end.
+(** The compile engine: incremental input → optional windowed
+    optimization → classify → memo → pooled synthesis → in-order
+    emission, all interleaved, with bounded memory end to end.
 
     The producer pulls instructions from a source, folds them through a
-    {!Stream_opt} window (never more than W gates), and feeds unique
-    rotation targets to worker domains over a bounded job queue — a
-    full queue blocks the producer, so parsing never outruns synthesis
+    {!Stream_opt} window (never more than W gates), and submits unique
+    rotation targets to a bounded {!Pool} — a full queue makes the
+    producer run queued jobs itself, so parsing never outruns synthesis
     (backpressure, visible as the [obs.planner.queue_depth] gauge and
     the [obs.stream.backpressure_waits] counter).  Synthesized words
     are spliced back strictly in input order from a depth-bounded
     reorder FIFO, interleaved with parsing, so output flows before the
-    input is fully read.
+    input is fully read.  [Pipeline] runs the same engine over a
+    transpiled circuit with no window ({!compile_ir}).
 
     Output is byte-identical whatever [jobs] is, and identical to
     {!run_circuit} on the same input: per-key synthesis is
-    deterministic, occurrences emit in input order, and the memo cache
-    is touched only on the producer in emission order. *)
+    deterministic, occurrences emit in input order, and the memo is
+    touched only on the producer in emission order.
+
+    Every caller shares one process-wide memo keyed by {!classify}:
+    bounded, flush-all, counted by [pipeline.memo.hit] (occurrences
+    served), [.miss] (unique keys sent to the pool) and [.evictions]. *)
 
 type config = {
   epsilon : float;  (** per-rotation threshold *)
@@ -90,11 +95,41 @@ val run_circuit : config -> Circuit.t -> (Circuit.t * stats, Robust.failure) res
 (** The in-memory reference path: the same engine fed the whole circuit
     as one batch.  Streamed output must be bit-identical to this. *)
 
+type degradation = {
+  gate : string;  (** the IR rotation, e.g. ["rz(0.37)"] *)
+  backend : string;  (** the rung that finally produced the word *)
+  fallbacks : int;  (** rungs that failed before it *)
+  achieved : float;  (** guard-verified distance *)
+  requested : float;  (** the per-rotation threshold *)
+}
+(** A rotation occurrence that needed a fallback, or whose word sits
+    above the requested threshold (e.g. a Solovay–Kitaev last resort). *)
+
+val compile_ir :
+  config ->
+  on_degraded:(degradation -> unit) ->
+  Circuit.t ->
+  (Circuit.t * stats, Robust.failure) result
+(** The engine with no window over a circuit already in [config.ir],
+    as [Pipeline] runs it; [on_degraded] sees each degraded occurrence
+    in order. *)
+
+val canonical_angle : float -> float
+(** [Basis.norm_angle] (wrap into (−π, π], snap π/4 multiples) with
+    −0.0 mapped to 0.0: synthesis targets are built from it, so rz(θ)
+    and rz(θ+2π) share one synthesis and one memo entry. *)
+
+val classify : config -> Qgate.t -> (string * Synth.target, Robust.failure) result
+(** The memo key (canonical target, ε, chain id, gate-set name) and the
+    canonical target of a nontrivial rotation.  The IR decides the
+    target kind: a [Synth.Unitary] of the canonical U3 angles under the
+    U3 IR; a [Synth.Rz] under the Rz IR, where any other rotation is a
+    [Backend_error]. *)
+
 val set_cache_capacity : int -> unit
-(** Bound the streaming memo cache (default 65536, flush-all like
-    [Pipeline.set_cache_capacity]).
+(** Bound the memo (default 65536 entries; flushed wholesale when full).
     @raise Invalid_argument when < 1. *)
 
 val clear_cache : unit -> unit
-(** Empty the streaming memo and trivial-word caches (for cache-cold
-    measurements and order-independent tests). *)
+(** Empty the memo, the trivial-word cache and TRASYN's chain cache
+    (for cache-cold measurements and order-independent tests). *)

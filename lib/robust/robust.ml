@@ -123,7 +123,7 @@ module Fault = struct
   (* None = never configured (consult TGATES_FAULTS on first draw);
      Some with empty specs = explicitly cleared.  The state (and the
      per-rung RNG streams inside it — [Random.State] is not thread
-     -safe) is shared by every planner worker domain, so all access
+     -safe) is shared by every worker-pool domain, so all access
      goes through [lock].  Per-rung streams keep one rung's draw
      sequence independent of scheduling across domains as long as that
      rung's own calls stay ordered (always true at prob 1.0, where

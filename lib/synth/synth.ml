@@ -352,7 +352,7 @@ let c_store_hit = Obs.counter "synth.store.hit"
 let c_store_miss = Obs.counter "synth.store.miss"
 
 (* The process-wide persistent store, when a CLI armed one.  Guarded by
-   a mutex: [run_chain] runs on planner worker domains.  (The store's
+   a mutex: [run_chain] runs on worker-pool domains.  (The store's
    own operations are internally locked; this mutex only protects the
    option cell.) *)
 let store_lock = Mutex.create ()

@@ -3,7 +3,7 @@
    and hold the streaming contract:
 
    1. bit-identity — the QASM written with --stream --jobs 1 and with
-      --jobs 2 must be byte-for-byte equal (the planner's reorder FIFO
+      --jobs 2 must be byte-for-byte equal (the engine's reorder FIFO
       and producer-only memo make output independent of scheduling);
    2. bounded heap — peak major-heap words at 10^4 input gates must
       stay within a small factor of the 2*10^3-gate run (the window,

@@ -1,0 +1,65 @@
+(* Golden output digests: MD5 of the QASM each compile path emits on a
+   few small seeded circuits.  Any change to the engine, the memo, the
+   pool or the splice that alters a single output byte fails here; a
+   deliberate output change updates the digest and says why.  Every
+   case runs cache-cold, at one and at two domains. *)
+
+let small_trasyn = { Trasyn.default_config with samples = 64; table_t = 6; beam = 4 }
+
+let digest_of c = Digest.to_hex (Digest.string (Qasm.to_string c))
+
+(* The first [gates] instructions of the seeded Rz-IR QAOA stream. *)
+let qaoa_prefix ~gates =
+  let next = Generators.qaoa_stream ~seed:11 ~n:6 ~gates in
+  let rec take acc = match next () with None -> List.rev acc | Some i -> take (i :: acc) in
+  Circuit.make 6 (take [])
+
+let cases =
+  [
+    ( "gridsynth qft3",
+      "fd5175329da461c16c0fd352da91047e",
+      fun jobs ->
+        (Pipeline.run_gridsynth ~epsilon:0.07 ~jobs (Generators.qft 3)).Pipeline.circuit );
+    ( "gridsynth qaoa4",
+      "c9afb8829aa7681f3dc0333f4f7428da",
+      fun jobs ->
+        (Pipeline.run_gridsynth ~epsilon:0.07 ~jobs (Generators.qaoa ~seed:1 ~n:4 ~depth:1))
+          .Pipeline.circuit );
+    ( "gridsynth vqe4",
+      "8bc43d2106b1fc4773afc12a0374d994",
+      fun jobs ->
+        (Pipeline.run_gridsynth ~epsilon:0.07 ~jobs (Generators.vqe_hea ~seed:2 ~n:4 ~layers:1))
+          .Pipeline.circuit );
+    ( "trasyn qft3",
+      "2025b3fe3d65af01adf163c555344aa5",
+      fun jobs ->
+        (Pipeline.run_trasyn ~epsilon:0.2 ~config:small_trasyn ~budgets:[ 6 ] ~jobs
+           (Generators.qft 3))
+          .Pipeline.circuit );
+    ( "trasyn qaoa4",
+      "191178ae529413b8941e2a650caf4858",
+      fun jobs ->
+        (Pipeline.run_trasyn ~epsilon:0.2 ~config:small_trasyn ~budgets:[ 6 ] ~jobs
+           (Generators.qaoa ~seed:1 ~n:4 ~depth:1))
+          .Pipeline.circuit );
+    ( "stream qaoa prefix",
+      "559e4dee32bb18eaaa579ba01dc0be2f",
+      fun jobs ->
+        let cfg = Stream_compile.config ~epsilon:0.1 ~ir:Settings.Rz_ir ~window:16 ~jobs () in
+        match Stream_compile.run_circuit cfg (qaoa_prefix ~gates:1500) with
+        | Ok (c, _) -> c
+        | Error f -> Alcotest.fail (Robust.failure_to_string f) );
+  ]
+
+let suite =
+  List.map
+    (fun (name, want, compile) ->
+      Alcotest.test_case name `Slow (fun () ->
+          List.iter
+            (fun jobs ->
+              Pipeline.clear_caches ();
+              let got = digest_of (compile jobs) in
+              Pipeline.clear_caches ();
+              Alcotest.(check string) (Printf.sprintf "%s --jobs %d" name jobs) want got)
+            [ 1; 2 ]))
+    cases

@@ -24,4 +24,5 @@ let () =
       ("server", Test_server.suite);
       ("gateset", Test_gateset.suite);
       ("stream", Test_stream.suite);
+      ("golden", Test_golden.suite);
     ]

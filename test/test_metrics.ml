@@ -120,19 +120,24 @@ let metrics_tests =
           (fun () ->
             Metrics.start ~interval:0.01 ~stream ();
             Alcotest.(check bool) "running" true (Metrics.running ());
-            (* 16 jobs x ~4ms across 2 domains: both workers stay busy
-               long enough for their busy_s gauges to accumulate. *)
-            let plan =
-              Planner.plan (List.init 16 (fun i -> (string_of_int i, ())))
+            (* 16 jobs x ~4ms across 2 domains: the caller and the
+               helper stay busy long enough for their busy_s gauges to
+               accumulate — domain 0 is busy only if the caller runs
+               queued jobs while it awaits their results. *)
+            let results =
+              Pool.run ~jobs:2 (fun p ->
+                  let keys = List.init 16 string_of_int in
+                  List.iter
+                    (fun k ->
+                      ignore
+                        (Pool.submit p k (fun ~deadline:_ ->
+                             Unix.sleepf 0.004;
+                             Ok ())))
+                    keys;
+                  List.map (Pool.await p) keys)
             in
-            let table =
-              Planner.execute ~jobs:2
-                ~run:(fun ~deadline:_ () ->
-                  Unix.sleepf 0.004;
-                  Ok ())
-                plan
-            in
-            Alcotest.(check int) "all jobs ran" 16 (Hashtbl.length table);
+            Alcotest.(check int) "all jobs ran" 16
+              (List.length (List.filter Result.is_ok results));
             Metrics.stop ();
             Alcotest.(check bool) "stopped" false (Metrics.running ());
             Metrics.stop ();
@@ -165,13 +170,16 @@ let metrics_tests =
             (* The utilization series is a per-tick delta, so it needs
                two snapshots with planner work in between. *)
             Metrics.start ~interval:0.01 ~stream ();
-            let plan = Planner.plan (List.init 12 (fun i -> (string_of_int i, ()))) in
-            ignore
-              (Planner.execute ~jobs:2
-                 ~run:(fun ~deadline:_ () ->
-                   Unix.sleepf 0.01;
-                   Ok ())
-                 plan);
+            Pool.run ~jobs:2 (fun p ->
+                let keys = List.init 12 string_of_int in
+                List.iter
+                  (fun k ->
+                    ignore
+                      (Pool.submit p k (fun ~deadline:_ ->
+                           Unix.sleepf 0.01;
+                           Ok ())))
+                  keys;
+                List.iter (fun k -> ignore (Pool.await p k)) keys);
             Unix.sleepf 0.03;
             Metrics.stop ();
             match Metrics.load_stream stream with

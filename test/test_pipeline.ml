@@ -74,8 +74,8 @@ let pipeline_tests =
           (cmp.Pipeline.t_ratio > 1.5));
     Alcotest.test_case "memo caches count hits/misses and reset" `Quick (fun () ->
         Pipeline.clear_caches ();
-        let hits = Obs.counter "pipeline.gridsynth_cache.hit" in
-        let misses = Obs.counter "pipeline.gridsynth_cache.miss" in
+        let hits = Obs.counter "pipeline.memo.hit" in
+        let misses = Obs.counter "pipeline.memo.miss" in
         let h0 = Obs.counter_value hits and m0 = Obs.counter_value misses in
         let c = Generators.qaoa ~seed:1 ~n:4 ~depth:1 in
         let s1 = Pipeline.run_gridsynth ~epsilon:0.05 c in
@@ -95,17 +95,19 @@ let pipeline_tests =
           (Obs.counter_value misses > m_after_cold));
     Alcotest.test_case "cache capacity bound triggers eviction" `Quick (fun () ->
         Pipeline.clear_caches ();
-        let evictions = Obs.counter "pipeline.cache.evictions" in
+        let evictions = Obs.counter "pipeline.memo.evictions" in
         let e0 = Obs.counter_value evictions in
-        Pipeline.set_cache_capacity 2;
+        Stream_compile.set_cache_capacity 2;
         Fun.protect ~finally:(fun () ->
-            Pipeline.set_cache_capacity 65_536;
+            Stream_compile.set_cache_capacity 65_536;
             Pipeline.clear_caches ())
         @@ fun () ->
         (* Distinct angles at a loose epsilon: each is a fresh entry, so
            a capacity of 2 must flush at least once. *)
         List.iter
-          (fun theta -> ignore (Pipeline.gridsynth_rz_word ~epsilon:0.2 theta))
+          (fun theta ->
+            let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz theta) [| 0 |] ] in
+            ignore (Pipeline.run_gridsynth ~epsilon:0.2 ~transpile:false c))
           [ 0.31; 0.62; 0.93; 1.24 ];
         Alcotest.(check bool) "evicted" true (Obs.counter_value evictions > e0));
     Alcotest.test_case "phase folding keeps synthesized semantics" `Quick (fun () ->

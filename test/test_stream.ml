@@ -191,7 +191,7 @@ let engine_tests =
     Alcotest.test_case "dedup: repeated angles synthesize once" `Quick (fun () ->
         Stream_compile.clear_cache ();
         (* H between the rotations keeps the window from folding them,
-           so all 20 occurrences reach the planner with the same key. *)
+           so all 20 occurrences reach the engine with the same key. *)
         let instrs =
           List.concat
             (List.init 20 (fun _ ->
@@ -235,4 +235,58 @@ let engine_tests =
         Stream_compile.clear_cache ());
   ]
 
-let suite = reader_tests @ window_tests @ engine_tests
+(* The stream engine and the in-memory workflows are one engine: the
+   same ledger books, and at window 1 the same bytes. *)
+let one_engine_tests =
+  let with_ledger f =
+    Ledger.reset ();
+    Ledger.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Ledger.set_enabled false;
+        Ledger.reset ())
+      f
+  in
+  let sources () = List.map (fun (r : Ledger.record) -> r.Ledger.source) (Ledger.records ()) in
+  let count x = List.length (List.filter (( = ) x) (sources ())) in
+  let ok = function Ok v -> v | Error f -> Alcotest.fail (Robust.failure_to_string f) in
+  [
+    Alcotest.test_case "ledger: one record per occurrence, fresh then replays" `Quick (fun () ->
+        let c = Circuit.make 10 (List.init 10 (fun q -> Circuit.instr (Qgate.Rz 0.61) [| q |])) in
+        with_ledger (fun () ->
+            Stream_compile.clear_cache ();
+            let cfg = Stream_compile.config ~epsilon:0.1 ~window:1 () in
+            let _, st = ok (Stream_compile.run_circuit cfg c) in
+            Alcotest.(check int) "occurrences" 10 st.Stream_compile.rotations_synthesized;
+            Alcotest.(check int) "records" st.Stream_compile.rotations_synthesized (Ledger.size ());
+            Alcotest.(check int) "fresh" 1 (count "fresh");
+            Alcotest.(check int) "replay" 9 (count "replay"));
+        with_ledger (fun () ->
+            Stream_compile.clear_cache ();
+            let s = Pipeline.run_gridsynth ~epsilon:0.1 c in
+            Alcotest.(check int) "pipeline records" s.Pipeline.rotations_synthesized
+              (Ledger.size ()));
+        Stream_compile.clear_cache ());
+    Alcotest.test_case "window 1 output equals the in-memory workflow's" `Quick (fun () ->
+        let c =
+          Circuit.of_list 2 [ (Qgate.Rz 0.61, [ 0 ]); (Qgate.CX, [ 0; 1 ]); (Qgate.Rz 1.1, [ 1 ]) ]
+        in
+        let stream ir =
+          Stream_compile.clear_cache ();
+          let cfg = Stream_compile.config ~epsilon:0.2 ~ir ~window:1 () in
+          Qasm.to_string (fst (ok (Stream_compile.run_circuit cfg c)))
+        in
+        let pipeline run =
+          Stream_compile.clear_cache ();
+          Qasm.to_string (ok run).Pipeline.circuit
+        in
+        Alcotest.(check string) "U3 IR vs TRASYN workflow"
+          (pipeline (Pipeline.run_trasyn_result ~epsilon:0.2 ~transpile:false c))
+          (stream Settings.U3_ir);
+        Alcotest.(check string) "Rz IR vs GRIDSYNTH workflow"
+          (pipeline (Pipeline.run_gridsynth_result ~epsilon:0.2 ~transpile:false c))
+          (stream Settings.Rz_ir);
+        Stream_compile.clear_cache ());
+  ]
+
+let suite = reader_tests @ window_tests @ engine_tests @ one_engine_tests

@@ -1,7 +1,7 @@
 (* Tests for the synthesis-backend registry and the deduplicating
-   multicore rotation planner: adapter round-trips for all four
-   engines, chain parsing, fault injection through registry-built
-   chains, planner dedup/execution semantics, the canonical-angle
+   worker pool: adapter round-trips for all four engines, chain
+   parsing, fault injection through registry-built chains, pool
+   dedup/execution semantics and request contexts, the canonical-angle
    memo keying, and --jobs determinism end to end. *)
 
 let contains s sub =
@@ -131,80 +131,115 @@ let chain_tests =
             | Error f -> Alcotest.fail (Robust.failure_to_string f)));
   ]
 
-let planner_tests =
+let pool_tests =
+  let collect p keys = List.map (fun k -> Pool.await p k) keys in
   [
     Alcotest.test_case "plan dedupes on key, first appearance wins" `Quick (fun () ->
-        let p = Planner.plan [ ("a", 1); ("b", 2); ("a", 3); ("b", 4); ("a", 5) ] in
-        Alcotest.(check int) "occurrences" 5 p.Planner.occurrences;
-        Alcotest.(check int) "dedup hits" 3 p.Planner.dedup_hits;
-        Alcotest.(check (list string)) "job order" [ "a"; "b" ]
-          (Array.to_list (Array.map (fun j -> j.Planner.key) p.Planner.jobs));
-        Alcotest.(check (list int)) "first target wins" [ 1; 2 ]
-          (Array.to_list (Array.map (fun j -> j.Planner.target) p.Planner.jobs)));
-    Alcotest.test_case "execute collects results under any domain count" `Quick (fun () ->
-        let p = Planner.plan (List.init 9 (fun i -> (string_of_int (i mod 3), i mod 3))) in
         List.iter
           (fun jobs ->
-            let t = Planner.execute ~jobs ~run:(fun ~deadline:_ x -> Ok (x * 10)) p in
-            Alcotest.(check int) "table size" 3 (Hashtbl.length t);
-            List.iter
-              (fun k ->
-                match Hashtbl.find_opt t (string_of_int k) with
-                | Some (Ok v) -> Alcotest.(check int) "value" (k * 10) v
-                | _ -> Alcotest.fail "missing result")
-              [ 0; 1; 2 ])
+            Pool.run ~jobs (fun p ->
+                let fresh =
+                  List.map
+                    (fun (k, v) -> Pool.submit p k (fun ~deadline:_ -> Ok v))
+                    [ ("a", 1); ("b", 2); ("a", 3); ("b", 4); ("a", 5) ]
+                in
+                Alcotest.(check (list bool)) "fresh keys" [ true; true; false; false; false ] fresh;
+                Alcotest.(check (list int)) "first job wins" [ 1; 2 ]
+                  (List.map Result.get_ok (collect p [ "a"; "b" ]))))
+          [ 1; 2 ]);
+    Alcotest.test_case "execute collects results under any domain count" `Quick (fun () ->
+        List.iter
+          (fun jobs ->
+            Pool.run ~jobs (fun p ->
+                List.iter
+                  (fun i ->
+                    let k = i mod 3 in
+                    ignore (Pool.submit p (string_of_int k) (fun ~deadline:_ -> Ok (k * 10))))
+                  (List.init 9 Fun.id);
+                List.iter
+                  (fun k ->
+                    match Pool.await p (string_of_int k) with
+                    | Ok v -> Alcotest.(check int) "value" (k * 10) v
+                    | Error _ -> Alcotest.fail "missing result")
+                  [ 0; 1; 2 ]))
           [ 1; 4 ]);
     Alcotest.test_case "a raising job fails alone, not the plan" `Quick (fun () ->
-        let p = Planner.plan [ ("bad", 0); ("ok", 1) ] in
-        let t =
-          Planner.execute ~jobs:2
-            ~run:(fun ~deadline:_ x -> if x = 0 then failwith "kaboom" else Ok x)
-            p
-        in
-        (match Hashtbl.find_opt t "bad" with
-        | Some (Error (Robust.Backend_error msg)) ->
-            Alcotest.(check bool) "cause kept" true (contains msg "kaboom")
-        | _ -> Alcotest.fail "the raising job must store a Backend_error");
-        match Hashtbl.find_opt t "ok" with
-        | Some (Ok 1) -> ()
-        | _ -> Alcotest.fail "the healthy job must still land");
+        Pool.run ~jobs:2 (fun p ->
+            ignore (Pool.submit p "bad" (fun ~deadline:_ -> failwith "kaboom"));
+            ignore (Pool.submit p "ok" (fun ~deadline:_ -> Ok 1));
+            (match Pool.await p "bad" with
+            | Error (Robust.Backend_error msg) ->
+                Alcotest.(check bool) "cause kept" true (contains msg "kaboom")
+            | _ -> Alcotest.fail "the raising job must fail with a Backend_error");
+            match Pool.await p "ok" with
+            | Ok 1 -> ()
+            | _ -> Alcotest.fail "the healthy job must still land"));
     Alcotest.test_case "planner counters account for the work" `Quick (fun () ->
         with_obs @@ fun () ->
-        let p = Planner.plan (List.init 8 (fun i -> (string_of_int (i mod 2), i))) in
-        let _, jobs =
-          counter_delta "obs.planner.jobs" (fun () ->
-              Planner.execute ~jobs:1 ~run:(fun ~deadline:_ _ -> Ok ()) p)
+        let submit_all () =
+          Pool.run ~jobs:1 (fun p ->
+              List.iter
+                (fun i ->
+                  ignore (Pool.submit p (string_of_int (i mod 2)) (fun ~deadline:_ -> Ok ())))
+                (List.init 8 Fun.id))
         in
+        let (), jobs = counter_delta "obs.planner.jobs" submit_all in
         Alcotest.(check int) "unique jobs" 2 jobs;
-        let _, hits =
-          counter_delta "obs.planner.dedup_hits" (fun () ->
-              Planner.execute ~jobs:1 ~run:(fun ~deadline:_ _ -> Ok ()) p)
-        in
+        let (), hits = counter_delta "obs.planner.dedup_hits" submit_all in
         Alcotest.(check int) "dedup hits" 6 hits);
+    Alcotest.test_case "a job runs under its submitter's request context" `Quick (fun () ->
+        let caller = Domain.self () in
+        let ctx i =
+          { Obs.trace_id = "t"; request_id = Printf.sprintf "r1.%d" i; batch_index = i }
+        in
+        let keys = List.init 8 string_of_int in
+        let seen =
+          Pool.run ~jobs:2 (fun p ->
+              List.iteri
+                (fun i k ->
+                  Obs.with_request (Some (ctx i)) (fun () ->
+                      ignore
+                        (Pool.submit p k (fun ~deadline:_ ->
+                             Unix.sleepf 0.01;
+                             Ok (Domain.self () <> caller, Obs.current_request ())))))
+                keys;
+              collect p keys)
+        in
+        List.iteri
+          (fun i r ->
+            match r with
+            | Ok (_, Some c) ->
+                Alcotest.(check string) "own request id" (ctx i).Obs.request_id c.Obs.request_id
+            | _ -> Alcotest.fail "the job lost its request context")
+          seen;
+        Alcotest.(check bool) "a helper domain ran a job" true
+          (List.exists (function Ok (elsewhere, _) -> elsewhere | Error _ -> false) seen));
   ]
 
 let canonical_tests =
+  let key theta =
+    match Stream_compile.classify (Stream_compile.config ()) (Qgate.Rz theta) with
+    | Ok (k, _) -> k
+    | Error f -> Alcotest.fail (Robust.failure_to_string f)
+  in
   [
     Alcotest.test_case "angle keys identify equivalent rotations" `Quick (fun () ->
         let two_pi = 8.0 *. atan 1.0 in
-        Alcotest.(check string) "negative zero" (Pipeline.angle_key 0.0) (Pipeline.angle_key (-0.0));
-        Alcotest.(check string) "wraparound"
-          (Pipeline.angle_key 0.61)
-          (Pipeline.angle_key (0.61 +. two_pi));
-        Alcotest.(check string) "double wraparound"
-          (Pipeline.angle_key (-0.61))
-          (Pipeline.angle_key ((-0.61) -. two_pi)));
+        Alcotest.(check string) "negative zero" (key 0.0) (key (-0.0));
+        Alcotest.(check string) "wraparound" (key 0.61) (key (0.61 +. two_pi));
+        Alcotest.(check string) "double wraparound" (key (-0.61)) (key ((-0.61) -. two_pi)));
     Alcotest.test_case "rz(theta+2pi) is a memo hit, same word" `Quick (fun () ->
         with_obs @@ fun () ->
         Pipeline.clear_caches ();
         let two_pi = 8.0 *. atan 1.0 in
-        let w1, _ = Pipeline.gridsynth_rz_word ~epsilon:1e-2 0.61 in
-        let (w2, _), hits =
-          counter_delta "pipeline.gridsynth_cache.hit" (fun () ->
-              Pipeline.gridsynth_rz_word ~epsilon:1e-2 (0.61 +. two_pi))
+        let compile theta =
+          let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz theta) [| 0 |] ] in
+          Qasm.to_string (Pipeline.run_gridsynth ~epsilon:1e-2 ~transpile:false c).Pipeline.circuit
         in
-        Alcotest.(check int) "served from cache" 1 hits;
-        Alcotest.(check string) "identical word" (Ctgate.seq_to_string w1) (Ctgate.seq_to_string w2));
+        let w1 = compile 0.61 in
+        let w2, hits = counter_delta "pipeline.memo.hit" (fun () -> compile (0.61 +. two_pi)) in
+        Alcotest.(check int) "served from the memo" 1 hits;
+        Alcotest.(check string) "identical word" w1 w2);
   ]
 
 let determinism_tests =
@@ -233,5 +268,5 @@ let determinism_tests =
   ]
 
 let suite =
-  registry_tests @ adapter_tests @ chain_tests @ planner_tests @ canonical_tests
+  registry_tests @ adapter_tests @ chain_tests @ pool_tests @ canonical_tests
   @ determinism_tests
