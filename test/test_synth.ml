@@ -187,33 +187,6 @@ let pool_tests =
         Alcotest.(check int) "unique jobs" 2 jobs;
         let (), hits = counter_delta "obs.planner.dedup_hits" submit_all in
         Alcotest.(check int) "dedup hits" 6 hits);
-    Alcotest.test_case "a job runs under its submitter's request context" `Quick (fun () ->
-        let caller = Domain.self () in
-        let ctx i =
-          { Obs.trace_id = "t"; request_id = Printf.sprintf "r1.%d" i; batch_index = i }
-        in
-        let keys = List.init 8 string_of_int in
-        let seen =
-          Pool.run ~jobs:2 (fun p ->
-              List.iteri
-                (fun i k ->
-                  Obs.with_request (Some (ctx i)) (fun () ->
-                      ignore
-                        (Pool.submit p k (fun ~deadline:_ ->
-                             Unix.sleepf 0.01;
-                             Ok (Domain.self () <> caller, Obs.current_request ())))))
-                keys;
-              collect p keys)
-        in
-        List.iteri
-          (fun i r ->
-            match r with
-            | Ok (_, Some c) ->
-                Alcotest.(check string) "own request id" (ctx i).Obs.request_id c.Obs.request_id
-            | _ -> Alcotest.fail "the job lost its request context")
-          seen;
-        Alcotest.(check bool) "a helper domain ran a job" true
-          (List.exists (function Ok (elsewhere, _) -> elsewhere | Error _ -> false) seen));
   ]
 
 let canonical_tests =
@@ -267,6 +240,39 @@ let determinism_tests =
           (Qasm.to_string s4.Pipeline.circuit));
   ]
 
+(* Kept after the determinism tests so the earlier cases keep their
+   positions in the suite listing. *)
+let pool_context_tests =
+  [
+    Alcotest.test_case "a job runs under its submitter's request context" `Quick (fun () ->
+        let caller = Domain.self () in
+        let ctx i =
+          { Obs.trace_id = "t"; request_id = Printf.sprintf "r1.%d" i; batch_index = i }
+        in
+        let keys = List.init 8 string_of_int in
+        let seen =
+          Pool.run ~jobs:2 (fun p ->
+              List.iteri
+                (fun i k ->
+                  Obs.with_request (Some (ctx i)) (fun () ->
+                      ignore
+                        (Pool.submit p k (fun ~deadline:_ ->
+                             Unix.sleepf 0.01;
+                             Ok (Domain.self () <> caller, Obs.current_request ())))))
+                keys;
+              List.map (fun k -> Pool.await p k) keys)
+        in
+        List.iteri
+          (fun i r ->
+            match r with
+            | Ok (_, Some c) ->
+                Alcotest.(check string) "own request id" (ctx i).Obs.request_id c.Obs.request_id
+            | _ -> Alcotest.fail "the job lost its request context")
+          seen;
+        Alcotest.(check bool) "a helper domain ran a job" true
+          (List.exists (function Ok (elsewhere, _) -> elsewhere | Error _ -> false) seen));
+  ]
+
 let suite =
   registry_tests @ adapter_tests @ chain_tests @ pool_tests @ canonical_tests
-  @ determinism_tests
+  @ determinism_tests @ pool_context_tests
