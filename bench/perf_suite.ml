@@ -560,7 +560,10 @@ let server_load_phase ~deadline ~smoke ~serve_cli =
    reports from its [obs.heap.peak_words] gauge.  The headline
    bounded-memory claim is [peak_ratio]: with O(window + queue + depth)
    state the big run's peak must sit close to the small run's, nowhere
-   near the 5x of an O(input) pipeline.  perf_smoke gates on it. *)
+   near the 5x of an O(input) pipeline.  perf_smoke gates on it.  Full
+   runs also time the big input at one domain and record the --jobs 2
+   rate against it ([jobs2_vs_jobs1]; the open target is >= 1), with no
+   gate on it. *)
 let stream_compile_phase ~deadline ~smoke ~compile_cli =
   let small_gates = if smoke then 1_000 else 20_000 in
   let big_gates = if smoke then 5_000 else 100_000 in
@@ -586,14 +589,14 @@ let stream_compile_phase ~deadline ~smoke ~compile_cli =
       (String.split_on_char '\n' out);
     !v
   in
-  let compile gates =
+  let compile ?(jobs = child_jobs) gates =
     let qasm = gen gates in
     let report = Filename.temp_file "tgates-bench-stream" ".report" in
     let cmd =
       Printf.sprintf
         "%s --input %s --stream --workflow gridsynth --epsilon 0.1 --window %d --jobs %d > %s \
          2>/dev/null"
-        (Filename.quote compile_cli) (Filename.quote qasm) window child_jobs (Filename.quote report)
+        (Filename.quote compile_cli) (Filename.quote qasm) window jobs (Filename.quote report)
     in
     let code = Obs.span "perf.stream_compile" (fun () -> Sys.command cmd) in
     let rep = In_channel.with_open_text report In_channel.input_all in
@@ -618,16 +621,31 @@ let stream_compile_phase ~deadline ~smoke ~compile_cli =
   in
   let _, small_peak, _ = compile small_gates in
   let rate, big_peak, t_count = compile big_gates in
+  (* Only full runs have a --jobs 2 child to compare (smoke children
+     stay single-domain, above). *)
+  let jobs1_rate, jobs2_rate =
+    if child_jobs = 1 then (rate, None)
+    else
+      let r1, _, _ = compile ~jobs:1 big_gates in
+      (r1, Some rate)
+  in
+  let big_runs = if Option.is_some jobs2_rate then 2 else 1 in
   let peak_ratio = float_of_int big_peak /. float_of_int (max 1 small_peak) in
   let s = Obs.summarize (Obs.histogram "perf.stream_compile") in
   let q v = if Float.is_finite v then v else 0.0 in
   Printf.printf
     "  %-20s %d gates  %.0f gates/s  peak=%dw (vs %dw at %d gates; ratio %.2f)\n%!"
     "stream_compile" big_gates rate big_peak small_peak small_gates peak_ratio;
+  Option.iter
+    (fun r2 ->
+      Printf.printf "  %-20s --jobs 1 %.0f gates/s, --jobs 2 %.0f gates/s (ratio %.2f)\n%!" ""
+        jobs1_rate r2 (r2 /. jobs1_rate))
+    jobs2_rate;
+  let jobs2 f = match jobs2_rate with Some r2 -> J.Num (f r2) | None -> J.Null in
   ( "stream_compile",
     J.Obj
       [
-        ("items", J.Num (float_of_int (small_gates + big_gates)));
+        ("items", J.Num (float_of_int (small_gates + (big_runs * big_gates))));
         ("truncated", J.Bool (Obs.Deadline.expired deadline));
         ("wall_s", J.Num (q s.Obs.sum));
         ("p50_s", J.Num (q s.Obs.p50));
@@ -640,6 +658,9 @@ let stream_compile_phase ~deadline ~smoke ~compile_cli =
         ("gates", J.Num (float_of_int big_gates));
         ("window", J.Num (float_of_int window));
         ("gates_per_s", J.Num rate);
+        ("jobs1_gates_per_sec", J.Num jobs1_rate);
+        ("jobs2_gates_per_sec", jobs2 Fun.id);
+        ("jobs2_vs_jobs1", jobs2 (fun r2 -> r2 /. jobs1_rate));
         ("peak_heap_words", J.Num (float_of_int big_peak));
         ("small_gates", J.Num (float_of_int small_gates));
         ("small_peak_heap_words", J.Num (float_of_int small_peak));

@@ -11,13 +11,15 @@ let instr gate qubits =
     invalid_arg
       (Printf.sprintf "Circuit.instr: %s expects %d qubits, got %d" (Qgate.to_string gate)
          (Qgate.arity gate) (Array.length qubits));
-  let seen = Hashtbl.create 4 in
-  Array.iter
-    (fun q ->
-      if q < 0 then invalid_arg "Circuit.instr: negative qubit";
-      if Hashtbl.mem seen q then invalid_arg "Circuit.instr: duplicate qubit";
-      Hashtbl.add seen q ())
-    qubits;
+  (* Left to right, each qubit for its sign and then against those before
+     it: a pairwise check, since no gate takes more than three. *)
+  for k = 0 to Array.length qubits - 1 do
+    let q = qubits.(k) in
+    if q < 0 then invalid_arg "Circuit.instr: negative qubit";
+    for j = 0 to k - 1 do
+      if qubits.(j) = q then invalid_arg "Circuit.instr: duplicate qubit"
+    done
+  done;
   { gate; qubits }
 
 let make n_qubits instrs =

@@ -106,10 +106,11 @@ let chain_of cfg =
    must be an Rz.  The key — canonical target, ε, chain id, gate set —
    is the one memo and dedup identity: two chains or alphabets can
    synthesize the same target at the same ε to different words, so
-   they never share a cell. *)
+   they never share a cell.  ε is written exactly ([%h]): a run at ε
+   must never be served a word cached for a nearby ε. *)
 let classify cfg =
   let chain_id = Synth.chain_id (chain_of cfg) and gs = cfg.gate_set.Gateset.name in
-  let key target = Printf.sprintf "%s@%.6g|%s|%s" target cfg.epsilon chain_id gs in
+  let key target = Printf.sprintf "%s@%h|%s|%s" target cfg.epsilon chain_id gs in
   let angle a = Printf.sprintf "%.10f" a in
   fun g ->
     match (cfg.ir, g) with
@@ -127,18 +128,47 @@ let classify cfg =
           ( key (Printf.sprintf "%s/%s/%s" (angle t) (angle p) (angle l)),
             Synth.Unitary (Mat2.u3 t p l) )
 
-(* The memo holds verified successes only: failures are
-   deadline-relative (a timeout now says nothing about the next run's
-   budget).  It is bounded: past [capacity] entries it is flushed
-   wholesale (counted as an eviction) rather than grown without limit —
-   flush-all beats LRU because hits are dominated by repeats within one
-   circuit.  It is touched only on the producer, in emission order, so
-   its contents are independent of the domain count.  Beside it, the
-   exact words of trivial rotations (a step-0 table scan per distinct
-   gate, massively repeated in QAOA-like inputs) are cached under the
-   same bound. *)
-let memo : (string, Robust.attempt) Hashtbl.t = Hashtbl.create 256
-let exact_words : (string, Qgate.t list option) Hashtbl.t = Hashtbl.create 256
+(* Clifford+T words are written in matrix order (leftmost factor applied
+   last); instruction streams run in time order, so splicing a word
+   reverses it.  Each word is lowered once, when it is made. *)
+let lower seq = Array.of_list (List.rev_map Qgate.of_ctgate seq)
+
+(* What a distinct rotation is, decided once: a trivial (≤1-T) rotation
+   is its exact word, lowered; any other is its memo key and canonical
+   target. *)
+type front = Trivial of Qgate.t array | Nontrivial of string * Synth.target
+
+(* The front table is keyed by the configuration's classification
+   context and the exact gate.  Angles compare by their bits, so gates
+   that print differently (0.0 and -0.0) never share a cell. *)
+module Front = Hashtbl.Make (struct
+  type t = string * Qgate.t
+
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let equal (c1, g1) (c2, g2) =
+    String.equal c1 c2
+    &&
+    match (g1, g2) with
+    | Qgate.Rx a, Qgate.Rx b | Qgate.Ry a, Qgate.Ry b | Qgate.Rz a, Qgate.Rz b -> same a b
+    | Qgate.U3 (a1, b1, c1), Qgate.U3 (a2, b2, c2) -> same a1 a2 && same b1 b2 && same c1 c2
+    | _ -> g1 = g2
+
+  let hash = Hashtbl.hash
+end)
+
+(* The memo holds verified successes only, each with its word already
+   lowered: failures are deadline-relative (a timeout now says nothing
+   about the next run's budget).  It is bounded: past [capacity] entries
+   it is flushed wholesale (counted as an eviction) rather than grown
+   without limit — flush-all beats LRU because hits are dominated by
+   repeats within one circuit.  It is touched only on the producer, in
+   emission order, so its contents are independent of the domain count.
+   In front of it, the front table classifies each distinct gate once
+   (a step-0 table scan and a key, for gates massively repeated in
+   QAOA-like inputs) under the same bound. *)
+let memo : (string, Robust.attempt * Qgate.t array) Hashtbl.t = Hashtbl.create 256
+let front : front Front.t = Front.create 256
 let capacity = ref 65_536
 
 let set_cache_capacity n =
@@ -147,20 +177,15 @@ let set_cache_capacity n =
 
 let clear_cache () =
   Hashtbl.reset memo;
-  Hashtbl.reset exact_words;
+  Front.reset front;
   Trasyn.clear_chain_cache ()
 
-let bounded_add tbl key v =
-  if Hashtbl.length tbl >= !capacity then begin
+(* Flush [tbl] wholesale when it is full, counting the eviction. *)
+let make_room length reset tbl =
+  if length tbl >= !capacity then begin
     Obs.incr c_evictions;
-    Hashtbl.reset tbl
-  end;
-  Hashtbl.add tbl key v
-
-(* Clifford+T words are written in matrix order (leftmost factor applied
-   last); instruction streams run in time order, so splicing a word
-   reverses it. *)
-let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
+    reset tbl
+  end
 
 (* The exact word of a trivial (≤1-T) rotation, from the step-0 table.
    Tolerant matching: a gate can pass the angle-space triviality test
@@ -168,22 +193,43 @@ let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
    (wrapped angles), which is a harmless substitution at circuit
    thresholds.  [None] when the gate genuinely needs synthesis. *)
 let exact_word ~gate_set g =
-  let key = gate_set ^ "|" ^ Qgate.to_string g in
-  match Hashtbl.find_opt exact_words key with
-  | Some w -> w
-  | None ->
-      let m = Qgate.to_mat2 g in
-      let best = ref None in
-      Array.iter
-        (fun (e : Ma_table.entry) ->
-          if Mat2.distance m e.Ma_table.mat < 1e-6 then
-            match !best with
-            | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
-            | _ -> best := Some e)
-        (Ma_table.get_for ~gate_set 1).Ma_table.entries;
-      let w = Option.map (fun (e : Ma_table.entry) -> word_to_gates e.Ma_table.seq) !best in
-      bounded_add exact_words key w;
-      w
+  let m = Qgate.to_mat2 g in
+  let best = ref None in
+  Array.iter
+    (fun (e : Ma_table.entry) ->
+      if Mat2.distance m e.Ma_table.mat < 1e-6 then
+        match !best with
+        | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
+        | _ -> best := Some e)
+    (Ma_table.get_for ~gate_set 1).Ma_table.entries;
+  Option.map (fun (e : Ma_table.entry) -> lower e.Ma_table.seq) !best
+
+exception Abort of Robust.failure
+
+(* [classify_front cfg g] is rotation [g]'s cell in the front table,
+   filled on first sight; [Abort] on a rotation the IR cannot take. *)
+let classify_front cfg =
+  let classify = classify cfg and gs = cfg.gate_set.Gateset.name in
+  let context =
+    Printf.sprintf "%s|%h|%s|%s" (Settings.ir_to_string cfg.ir) cfg.epsilon
+      (Synth.chain_id (chain_of cfg)) gs
+  in
+  fun g ->
+    let k = (context, g) in
+    match Front.find_opt front k with
+    | Some f -> f
+    | None ->
+        let f =
+          match exact_word ~gate_set:gs g with
+          | Some w -> Trivial w
+          | None -> (
+              match classify g with
+              | Ok (key, target) -> Nontrivial (key, target)
+              | Error e -> raise (Abort e))
+        in
+        make_room Front.length Front.reset front;
+        Front.add front k f;
+        f
 
 (* Provenance of an occurrence served by the memo or by another
    occurrence's job: [Synth.run_chain] writes one fresh ledger record
@@ -220,7 +266,7 @@ let replay_record ~chain ~gate_set ~requested target (a : Robust.attempt) =
    served by the memo ([hit]) or awaiting its pool job. *)
 type slot =
   | Direct of Circuit.instr
-  | Word of Qgate.t list * int array
+  | Word of Qgate.t array * int array
   | Rotation of rotation
 
 and rotation = {
@@ -228,10 +274,8 @@ and rotation = {
   gate : Qgate.t;
   target : Synth.target;
   qubits : int array;
-  hit : Robust.attempt option;
+  hit : (Robust.attempt * Qgate.t array) option;
 }
-
-exception Abort of Robust.failure
 
 let heap_sample () =
   let s = Gc.quick_stat () in
@@ -241,7 +285,7 @@ let compile cfg ~window ~on_degraded ~next ~emit =
   let chain = chain_of cfg in
   let chain_id = Synth.chain_id chain in
   let gs = cfg.gate_set.Gateset.name in
-  let classify = classify cfg in
+  let classify = classify_front cfg in
   let scfg =
     Synth.config ~gate_set:cfg.gate_set ~trasyn:cfg.trasyn ~budgets:cfg.budgets
       ~epsilon:cfg.epsilon ()
@@ -254,8 +298,11 @@ let compile cfg ~window ~on_degraded ~next ~emit =
       Obs.span "pipeline.synthesize_rotation" (fun () ->
           Synth.run_chain ~deadline ~config:scfg chain target)
     in
-    Result.iter (fun (a : Robust.attempt) -> Obs.set_span_attr "backend" a.Robust.backend) r;
-    r
+    Result.map
+      (fun (a : Robust.attempt) ->
+        Obs.set_span_attr "backend" a.Robust.backend;
+        (a, lower a.Robust.word))
+      r
   in
   Pool.run ~jobs:cfg.jobs ~capacity:cfg.queue ~deadline:cfg.deadline
     ?job_budget:cfg.rotation_budget
@@ -276,16 +323,21 @@ let compile cfg ~window ~on_degraded ~next ~emit =
     else if Qgate.is_counted_clifford i.Circuit.gate then incr cliffords;
     emit i
   in
-  let emit_word gates qubits = List.iter (fun g -> emit_instr (Circuit.instr g qubits)) gates in
+  let emit_word gates qubits =
+    for k = 0 to Array.length gates - 1 do
+      emit_instr (Circuit.instr gates.(k) qubits)
+    done
+  in
   (* The one emission pass: every occurrence's accounting happens here,
      in input order. *)
-  let emit_rotation r (a : Robust.attempt) =
+  let emit_rotation r ((a : Robust.attempt), gates) =
     incr nsynth;
     total_err := !total_err +. a.Robust.distance;
     if Option.is_none r.hit && Hashtbl.mem fresh r.key then begin
       Hashtbl.remove fresh r.key;
       Obs.observe h_rot_tcount (float_of_int (Ctgate.t_count a.Robust.word));
-      bounded_add memo r.key a
+      make_room Hashtbl.length Hashtbl.reset memo;
+      Hashtbl.add memo r.key (a, gates)
     end
     else if Ledger.enabled () then
       Ledger.record (replay_record ~chain:chain_id ~gate_set:gs ~requested:cfg.epsilon r.target a);
@@ -301,7 +353,7 @@ let compile cfg ~window ~on_degraded ~next ~emit =
           requested = cfg.epsilon;
         }
     end;
-    emit_word (word_to_gates a.Robust.word) r.qubits
+    emit_word gates r.qubits
   in
   (* Emit the FIFO head if its result is in; with [block], wait for it,
      running queued jobs meanwhile.  False when nothing was emitted. *)
@@ -325,9 +377,9 @@ let compile cfg ~window ~on_degraded ~next ~emit =
         match result with
         | None -> false
         | Some (Error f) -> raise (Abort f)
-        | Some (Ok a) ->
+        | Some (Ok w) ->
             ignore (Queue.pop out);
-            emit_rotation r a;
+            emit_rotation r w;
             true)
   in
   let drain () = while emit_head ~block:false do () done in
@@ -336,12 +388,9 @@ let compile cfg ~window ~on_degraded ~next ~emit =
   let handle (g : Circuit.instr) =
     if not (Qgate.is_rotation g.Circuit.gate) then Queue.push (Direct g) out
     else
-      match exact_word ~gate_set:gs g.Circuit.gate with
-      | Some gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
-      | None ->
-          let key, target =
-            match classify g.Circuit.gate with Ok kt -> kt | Error f -> raise (Abort f)
-          in
+      match classify g.Circuit.gate with
+      | Trivial gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
+      | Nontrivial (key, target) ->
           let hit = Hashtbl.find_opt memo key in
           (match hit with
           | Some _ -> Obs.incr c_hit

@@ -131,5 +131,6 @@ val set_cache_capacity : int -> unit
     @raise Invalid_argument when < 1. *)
 
 val clear_cache : unit -> unit
-(** Empty the memo, the trivial-word cache and TRASYN's chain cache
-    (for cache-cold measurements and order-independent tests). *)
+(** Empty the memo, the front table (each distinct gate's
+    classification, under the same bound) and TRASYN's chain cache (for
+    cache-cold measurements and order-independent tests). *)

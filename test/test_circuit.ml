@@ -9,7 +9,19 @@ let circuit_tests =
         Alcotest.check_raises "arity" (Invalid_argument "Circuit.instr: cx expects 2 qubits, got 1")
           (fun () -> ignore (Circuit.instr Qgate.CX [| 0 |]));
         Alcotest.check_raises "duplicate" (Invalid_argument "Circuit.instr: duplicate qubit")
-          (fun () -> ignore (Circuit.instr Qgate.CX [| 1; 1 |])));
+          (fun () -> ignore (Circuit.instr Qgate.CX [| 1; 1 |]));
+        Alcotest.check_raises "negative" (Invalid_argument "Circuit.instr: negative qubit")
+          (fun () -> ignore (Circuit.instr Qgate.H [| -1 |]));
+        Alcotest.check_raises "non-adjacent duplicate"
+          (Invalid_argument "Circuit.instr: duplicate qubit")
+          (fun () -> ignore (Circuit.instr Qgate.Ccx [| 0; 1; 0 |]));
+        (* Qubits are checked left to right, each for sign before repeats. *)
+        Alcotest.check_raises "duplicate before a later negative"
+          (Invalid_argument "Circuit.instr: duplicate qubit")
+          (fun () -> ignore (Circuit.instr Qgate.Ccx [| 2; 2; -1 |]));
+        Alcotest.check_raises "negative before a later duplicate"
+          (Invalid_argument "Circuit.instr: negative qubit")
+          (fun () -> ignore (Circuit.instr Qgate.Ccx [| 2; -1; 2 |])));
     Alcotest.test_case "metrics on a known circuit" `Quick (fun () ->
         let c =
           Circuit.of_list 2

@@ -204,4 +204,24 @@ let robustness_tests =
         Alcotest.(check bool) "clean rerun" true (s.Pipeline.degraded = []));
   ]
 
-let suite = suite @ robustness_tests
+(* The memo key names ε exactly: a run at ε must never be served a word
+   cached for a nearby ε by an earlier run in the same process. *)
+let memo_key_tests =
+  [
+    Alcotest.test_case "memo key tells nearby epsilons apart" `Quick (fun () ->
+        let hits = Obs.counter "pipeline.memo.hit" and misses = Obs.counter "pipeline.memo.miss" in
+        let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.61) [| 0 |] ] in
+        List.iter
+          (fun (near, eps) ->
+            Pipeline.clear_caches ();
+            ignore (Pipeline.run_gridsynth ~epsilon:near ~transpile:false c);
+            let h0 = Obs.counter_value hits and m0 = Obs.counter_value misses in
+            ignore (Pipeline.run_gridsynth ~epsilon:eps ~transpile:false c);
+            let what = Printf.sprintf "eps %g after %.17g" eps near in
+            Alcotest.(check int) (what ^ ": hits") 0 (Obs.counter_value hits - h0);
+            Alcotest.(check int) (what ^ ": misses") 1 (Obs.counter_value misses - m0))
+          [ (0.1000004, 0.1); (1e-3 +. 4e-10, 1e-3) ];
+        Pipeline.clear_caches ());
+  ]
+
+let suite = suite @ robustness_tests @ memo_key_tests

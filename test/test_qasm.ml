@@ -112,3 +112,69 @@ let suite =
         expect_error ~what:"duplicate qubit" ~line:2 "qreg q[2];\ncx q[1],q[1];\n";
         expect_error ~what:"zero-size qreg" ~line:1 "qreg q[0];\nh q[0];\n");
   ]
+
+(* The printer's three entry points are one renderer: random
+   instructions over every gate constructor, with awkward angles
+   (negative, -0.0, subnormal, huge, non-finite) and qubit indices
+   across digit-count boundaries, print the same bytes through
+   [write_instr], [instr_to_string] and [to_string] — and the same as
+   the gate's [Qgate.to_string] followed by its [q[%d]] operands. *)
+let gen_angle =
+  QCheck2.Gen.(
+    oneof
+      [
+        float_range (-10.0) 10.0;
+        oneofl
+          [ 0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; -1e-310; 1e300; -1e300;
+            Float.max_float; -.Float.max_float; Float.pi; -.Float.pi /. 4.0; 1e16; 0.1;
+            Float.infinity; Float.neg_infinity; Float.nan ];
+        map (fun x -> -.x) (float_range 1e3 1e12);
+      ])
+
+let gen_qubit = QCheck2.Gen.(oneof [ int_range 0 12; oneofl [ 9; 10; 99; 100; 999; 1000; 1001 ]; int_range 0 100_000 ])
+
+let gen_instr =
+  QCheck2.Gen.(
+    let* g =
+      oneof
+        [
+          oneofl Qgate.[ H; X; Y; Z; S; Sdg; T; Tdg; CX; CZ; Swap; Ccx ];
+          map (fun a -> Qgate.Rx a) gen_angle;
+          map (fun a -> Qgate.Ry a) gen_angle;
+          map (fun a -> Qgate.Rz a) gen_angle;
+          map3 (fun a b c -> Qgate.U3 (a, b, c)) gen_angle gen_angle gen_angle;
+        ]
+    in
+    let* q = gen_qubit and* d1 = int_range 1 1200 and* d2 = int_range 1 1200 in
+    let qubits = [| q + d1; q; q + d1 + d2 |] in
+    return (Circuit.instr g (Array.sub qubits 0 (Qgate.arity g))))
+
+let reference_line (i : Circuit.instr) =
+  Qgate.to_string i.Circuit.gate ^ " "
+  ^ String.concat "," (Array.to_list (Array.map (Printf.sprintf "q[%d]") i.Circuit.qubits))
+  ^ ";"
+
+let render_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"write_instr, instr_to_string and to_string agree"
+         QCheck2.Gen.(pair (int_range 1 200_000) (list_size (int_range 0 40) gen_instr))
+         (fun (n, instrs) ->
+           let path = Filename.temp_file "tgates_render" ".qasm" in
+           Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+           Out_channel.with_open_bin path (fun oc ->
+               Qasm.write_header oc n;
+               List.iter (Qasm.write_instr oc) instrs);
+           let written = In_channel.with_open_bin path In_channel.input_all in
+           let header = Printf.sprintf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\n" n in
+           let lines = String.concat "" (List.map (fun i -> Qasm.instr_to_string i ^ "\n") instrs) in
+           List.iter
+             (fun i ->
+               if Qasm.instr_to_string i <> reference_line i then
+                 QCheck2.Test.fail_reportf "%S <> %S" (Qasm.instr_to_string i) (reference_line i))
+             instrs;
+           written = header ^ lines
+           && Qasm.to_string { Circuit.n_qubits = n; instrs } = written));
+  ]
+
+let suite = suite @ render_tests

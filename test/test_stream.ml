@@ -255,8 +255,14 @@ let one_engine_tests =
         let c = Circuit.make 10 (List.init 10 (fun q -> Circuit.instr (Qgate.Rz 0.61) [| q |])) in
         with_ledger (fun () ->
             Stream_compile.clear_cache ();
+            let hits = Obs.counter "pipeline.memo.hit" and misses = Obs.counter "pipeline.memo.miss" in
+            let h0 = Obs.counter_value hits and m0 = Obs.counter_value misses in
             let cfg = Stream_compile.config ~epsilon:0.1 ~window:1 () in
             let _, st = ok (Stream_compile.run_circuit cfg c) in
+            Alcotest.(check int) "memo hits" 9 (Obs.counter_value hits - h0);
+            Alcotest.(check int) "memo misses" 1 (Obs.counter_value misses - m0);
+            Alcotest.(check int) "unique syntheses" 1 st.Stream_compile.unique_syntheses;
+            Alcotest.(check int) "dedup hits" 9 st.Stream_compile.dedup_hits;
             Alcotest.(check int) "occurrences" 10 st.Stream_compile.rotations_synthesized;
             Alcotest.(check int) "records" st.Stream_compile.rotations_synthesized (Ledger.size ());
             Alcotest.(check int) "fresh" 1 (count "fresh");
