@@ -9,7 +9,7 @@ let targets n = Array.init n (fun i -> Mat2.random_unitary (Random.State.make [|
    would mean the adapter itself broke, so surface it loudly. *)
 let run_one ~config ~budgets target =
   let module B = (val Synth.find_exn "trasyn") in
-  match B.synthesize (Synth.Unitary target) (Synth.config ~trasyn:config ~budgets ~epsilon:0.0 ()) with
+  match B.synthesize (Util.u3_target target) (Synth.config ~trasyn:config ~budgets ~epsilon:0.0 ()) with
   | Ok (seq, distance) -> (seq, distance)
   | Error f -> Robust.fail f
 
@@ -76,7 +76,7 @@ let baselines ~unitaries () =
     Array.to_list
       (Array.map
          (fun t ->
-           match B.synthesize (Synth.Unitary t) cfg with
+           match B.synthesize (Util.u3_target t) cfg with
            | Ok (seq, d) -> (Ctgate.t_count seq, d, List.length seq)
            | Error _ -> (0, infinity, 0))
          ts)

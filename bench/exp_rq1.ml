@@ -49,7 +49,7 @@ let run ~unitaries ~samples ~table_t ~synthetiq_budget () =
   let config = { Trasyn.default_config with samples; table_t } in
   Array.iteri
     (fun i target ->
-      let target = Synth.Unitary target in
+      let target = Util.u3_target target in
       List.iter
         (fun (scale_name, eps, budgets) ->
           (* TRASYN in pure budget mode: ε = 0 is never met, so the full

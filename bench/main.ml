@@ -89,7 +89,7 @@ let kernels () =
   in
   Util.bechamel_kernels ~name:"synthesis"
     [
-      ("trasyn-1site-k256", fun () -> ignore (Tr.synthesize (Synth.Unitary target) trasyn_cfg));
+      ("trasyn-1site-k256", fun () -> ignore (Tr.synthesize (Util.u3_target target) trasyn_cfg));
       ( "gridsynth-rz-1e-2",
         fun () -> ignore (Gs.synthesize (Synth.Rz 0.61) (Synth.config ~epsilon:1e-2 ())) );
       ( "gridsynth-rz-1e-4",

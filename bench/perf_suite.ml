@@ -725,7 +725,7 @@ let run ?out ?jobs ?metrics_out ?serve_cli ?compile_cli ~budget ~smoke () =
   in
   let tr =
     run_phase ~deadline "trasyn_u3" targets (fun target ->
-        synth_t "trasyn" (Synth.Unitary target)
+        synth_t "trasyn" (Util.u3_target target)
           (Synth.config ~deadline ~trasyn:config ~budgets ~epsilon:0.0 ()))
   in
   let run_pipeline runner c =

@@ -14,6 +14,11 @@ let median xs =
   else if n land 1 = 1 then List.nth sorted (n / 2)
   else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.0
 
+(* The synthesis target of a matrix: its Euler angles. *)
+let u3_target m =
+  let t, p, l = Mat2.to_u3_angles m in
+  Synth.U3 (t, p, l)
+
 let minimum xs = List.fold_left Float.min infinity xs
 let maximum xs = List.fold_left Float.max neg_infinity xs
 

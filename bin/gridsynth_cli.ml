@@ -5,44 +5,21 @@
 
 open Cmdliner
 
-(* One provenance record for the direct (chainless) backend call. *)
+(* One provenance record for the direct (chainless) backend call: a
+   one-rung run at the requested ε. *)
 let record_direct ~target ~eps_req ~wall_s result =
   if Ledger.enabled () then
-    let base =
-      {
-        Ledger.target = Synth.target_id target;
-        gate_set = "cliffordt";
-        chain = "gridsynth";
-        eps_req;
-        rung_eps = eps_req;
-        distance = nan;
-        backend = "failed";
-        fallbacks = 0;
-        attempts = 1;
-        t_count = 0;
-        word_len = 0;
-        wall_s;
-        degraded = true;
-        cached = false;
-        source = "fresh";
-        ok = false;
-        failure = None;
-        request_id = "";
-      }
-    in
     Ledger.record
-      (match result with
-      | Ok (seq, distance) ->
-          {
-            base with
-            Ledger.distance;
-            backend = "gridsynth";
-            t_count = Ctgate.t_count seq;
-            word_len = List.length seq;
-            degraded = distance > eps_req;
-            ok = true;
-          }
-      | Error f -> { base with Ledger.failure = Some (Synth.failure_tag f) })
+      {
+        (Synth.ledger_record ~wall_s ~target ~gate_set:"cliffordt" ~chain:"gridsynth" ~eps_req
+           (Result.map
+              (fun (word, distance) ->
+                let backend = "gridsynth" in
+                { Robust.word; distance; backend; fallbacks = 0; rung_epsilon = eps_req })
+              result))
+        with
+        Ledger.rung_eps = eps_req;
+      }
 
 let run theta epsilon trace ledger_out =
   match

@@ -5,45 +5,23 @@
 
 open Cmdliner
 
-(* One provenance record for a direct (chainless) backend call; the
-   rotation still "exits Synth", it just never went through a ladder. *)
-let record_direct ~backend ~target ~eps_req ~wall_s outcome =
+(* One provenance record for a direct (chainless) backend call: a
+   one-rung run at the requested ε; the rotation still "exits Synth",
+   it just never went through a ladder.  A best-effort run (no
+   --epsilon) is never degraded. *)
+let record_direct ~backend ~target ~eps_req ~best_effort ~wall_s result =
   if Ledger.enabled () then
-    let base =
-      {
-        Ledger.target = Synth.target_id target;
-        gate_set = "cliffordt";
-        chain = backend;
-        eps_req;
-        rung_eps = eps_req;
-        distance = nan;
-        backend = "failed";
-        fallbacks = 0;
-        attempts = 1;
-        t_count = 0;
-        word_len = 0;
-        wall_s;
-        degraded = true;
-        cached = false;
-        source = "fresh";
-        ok = false;
-        failure = None;
-        request_id = "";
-      }
-    in
     Ledger.record
-      (match outcome with
-      | Ok (seq, distance, degraded) ->
-          {
-            base with
-            Ledger.distance;
-            backend;
-            t_count = Ctgate.t_count seq;
-            word_len = List.length seq;
-            degraded;
-            ok = true;
-          }
-      | Error f -> { base with Ledger.failure = Some (Synth.failure_tag f) })
+      {
+        (Synth.ledger_record ?degraded:(if best_effort then Some false else None) ~wall_s ~target
+           ~gate_set:"cliffordt" ~chain:backend ~eps_req
+           (Result.map
+              (fun (word, distance) ->
+                { Robust.word; distance; backend; fallbacks = 0; rung_epsilon = eps_req })
+              result))
+        with
+        Ledger.rung_eps = eps_req;
+      }
 
 let run theta phi lam epsilon budget sites samples trace ledger_out =
   match
@@ -51,7 +29,10 @@ let run theta phi lam epsilon budget sites samples trace ledger_out =
     (match ledger_out with Some p -> Ledger.to_file p | None -> ());
     Obs.with_trace ?file:trace @@ fun () ->
     Obs.span "cli.trasyn" @@ fun () ->
-    let target = Synth.Unitary (Mat2.u3 theta phi lam) in
+    let target =
+      let t, p, l = Mat2.to_u3_angles (Mat2.u3 theta phi lam) in
+      Synth.U3 (t, p, l)
+    in
     let budgets = List.init sites (fun _ -> budget) in
     let trasyn = { Trasyn.default_config with table_t = budget; samples } in
     (* No --epsilon means best effort: ε = 0 is never met, so the
@@ -62,11 +43,8 @@ let run theta phi lam epsilon budget sites samples trace ledger_out =
     let t0 = Obs.Clock.elapsed_s () in
     let result = B.synthesize target cfg in
     let wall_s = Obs.Clock.elapsed_s () -. t0 in
-    record_direct ~backend:"trasyn" ~target ~eps_req:eps ~wall_s
-      (Result.map
-         (fun (seq, d) ->
-           (seq, d, match epsilon with Some e -> d > e | None -> false))
-         result);
+    record_direct ~backend:"trasyn" ~target ~eps_req:eps ~best_effort:(epsilon = None) ~wall_s
+      result;
     match result with
     | Error f -> Robust.fail f
     | Ok (seq, distance) -> (

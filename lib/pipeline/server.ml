@@ -159,7 +159,7 @@ let error_response ?(extra = []) ?rid id tag message =
     @ (match rid with Some r -> [ ("request_id", Obs.Json.Str r) ] | None -> [])
     @ extra)
 
-let op_of_target = function Synth.Rz _ -> "rz" | Synth.Unitary _ -> "u3"
+let op_of_target = function Synth.Rz _ -> "rz" | Synth.U3 _ -> "u3"
 
 let success_response (r : rotation) (a : Robust.attempt) source retries =
   let open Obs.Json in
@@ -169,7 +169,7 @@ let success_response (r : rotation) (a : Robust.attempt) source retries =
       ("request_id", Str r.rid);
       ("ok", Bool true);
       ("op", Str (op_of_target r.target));
-      ("target", Str (Synth.target_id r.target));
+      ("target", Str (Store.target_id r.target));
       ("word", Str (Ctgate.seq_to_string a.Robust.word));
       ("t_count", Num (float_of_int (Ctgate.t_count a.Robust.word)));
       ("length", Num (float_of_int (List.length a.Robust.word)));
@@ -220,24 +220,22 @@ let synthesize_with_retries t (r : rotation) =
   in
   attempt 0
 
-(* Count one rotation's outcome and render its response; [extra] rides
-   on a failure response. *)
+(* Count one rotation's outcome and render its response; success and
+   failure alike report the retries spent. *)
 let outcome_response t (r : rotation) = function
   | Ok (a, source, retries) ->
       Obs.incr c_served;
       locked t (fun () -> t.n_served <- t.n_served + 1);
       success_response r a source retries
-  | Error (f, extra) ->
+  | Error (f, retries) ->
       Obs.incr c_failed;
       count_error t (op_of_target r.target);
       locked t (fun () -> t.n_failed <- t.n_failed + 1);
-      error_response ~extra ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
+      error_response
+        ~extra:[ ("retries", Obs.Json.Num (float_of_int retries)) ]
+        ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
 
-let rotation_response t r =
-  outcome_response t r
-    (Result.map_error
-       (fun (f, retries) -> (f, [ ("retries", Obs.Json.Num (float_of_int retries)) ]))
-       (synthesize_with_retries t r))
+let rotation_response t r = outcome_response t r (synthesize_with_retries t r)
 
 (* A batch runs on the deduplicating worker pool: repeated angles
    synthesize once, distinct angles run across domains.  Each element
@@ -246,14 +244,16 @@ let rotation_response t r =
    response replays the first element's result. *)
 let batch_response t id rid rotations =
   let open Obs.Json in
-  (* The dedup key carries the gate set: the same angle at the same ε
-     under two alphabets is two distinct jobs. *)
+  (* The dedup key is the engine's memo key: the same canonical target
+     at the same ε under two alphabets is two distinct jobs. *)
+  let chain = Synth.chain_id t.cfg.chain in
   let keyed =
     List.map
       (fun r ->
-        ( Printf.sprintf "%s@%.17g|%s" (Synth.target_id r.target) r.epsilon
-            r.gate_set.Gateset.name,
-          r ))
+        let suffix =
+          Synth.key_suffix ~epsilon:r.epsilon ~chain ~gate_set:r.gate_set.Gateset.name
+        in
+        (Synth.key ~suffix r.target, r))
       rotations
   in
   let results =
@@ -264,14 +264,18 @@ let batch_response t id rid rotations =
               { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index }
             in
             Obs.with_request (Some ctx) (fun () ->
+                (* The job never fails from the pool's point of view: its
+                   value is the whole outcome, retry count included. *)
                 ignore
-                  (Pool.submit pool key (fun ~deadline:_ ->
-                       Result.map_error fst (synthesize_with_retries t r)))))
+                  (Pool.submit pool key (fun ~deadline:_ -> Ok (synthesize_with_retries t r)))))
           keyed;
         List.map (fun (key, r) -> (r, Pool.await pool key)) keyed)
   in
   let sub =
-    List.map (fun (r, res) -> outcome_response t r (Result.map_error (fun f -> (f, [])) res)) results
+    List.map
+      (fun (r, res) ->
+        outcome_response t r (match res with Ok o -> o | Error f -> Error (f, 0)))
+      results
   in
   Obj [ ("id", id); ("request_id", Str rid); ("ok", Bool true); ("op", Str "batch"); ("results", Arr sub) ]
 
@@ -443,36 +447,26 @@ let parse_rotation t ~rid ~batch_index j =
   | Ok gate_set -> (
       if epsilon <= 0.0 then Error "epsilon must be positive"
       else
-        match member "op" j with
-        | Some (Str "rz") -> (
-            match num "theta" with
-            | Some theta ->
-                Ok
-                  {
-                    id = jid j;
-                    rid;
-                    batch_index;
-                    target = Synth.Rz theta;
-                    epsilon;
-                    gate_set;
-                    deadline_s;
-                  }
-            | None -> Error "rz needs a numeric theta")
-        | Some (Str "u3") -> (
-            match (num "theta", num "phi", num "lam") with
-            | Some th, Some ph, Some lm ->
-                Ok
-                  {
-                    id = jid j;
-                    rid;
-                    batch_index;
-                    target = Synth.Unitary (Mat2.u3 th ph lm);
-                    epsilon;
-                    gate_set;
-                    deadline_s;
-                  }
-            | _ -> Error "u3 needs numeric theta, phi, lam")
-        | _ -> Error "expected op rz or u3")
+        (* A request names a gate; it is filed under the compiler's
+           canonical target, so rz(θ) and rz(θ+2π) share one id, one
+           dedup key and one store cell with every compiled rotation. *)
+        let gate =
+          match member "op" j with
+          | Some (Str "rz") -> (
+              match num "theta" with
+              | Some theta -> Ok (Settings.Rz_ir, Qgate.Rz theta)
+              | None -> Error "rz needs a numeric theta")
+          | Some (Str "u3") -> (
+              match (num "theta", num "phi", num "lam") with
+              | Some th, Some ph, Some lm -> Ok (Settings.U3_ir, Qgate.U3 (th, ph, lm))
+              | _ -> Error "u3 needs numeric theta, phi, lam")
+          | _ -> Error "expected op rz or u3"
+        in
+        Result.bind gate (fun (ir, g) ->
+            match Stream_compile.canonical_target ir g with
+            | Ok target ->
+                Ok { id = jid j; rid; batch_index; target; epsilon; gate_set; deadline_s }
+            | Error f -> Error (Robust.failure_to_string f)))
 
 let shed t ~rid ~op id slots =
   Obs.incr c_shed ~by:slots;

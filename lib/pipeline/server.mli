@@ -23,11 +23,20 @@
     unknown name is rejected with [bad_request] listing the known
     names; omitted, the server's configured default applies.
 
+    {b Rotation identity}: a request is filed under the compiler's
+    canonical target ([Stream_compile.canonical_target]: [rz] under the
+    Rz IR, [u3] under the U3 IR), so its response [target] is the id
+    ([Store.target_id]) the compiler's ledger gives the same rotation,
+    and rz(θ+2π) shares rz(θ)'s id and store cell.  Batch elements are
+    deduplicated on [Synth.key] — target id, exact ε, chain id, gate
+    set — the engine's memo key: equal keys run one pool job.
+
     {b Responses}: [{"id":…,"request_id":"r7","ok":true,"op":"rz",
     "target":"rz(…)","word":"THTS…","t_count":…,"length":…,
     "distance":…,"backend":…,"fallbacks":…,"retries":…,
     "gate_set":…,"source":"store"|"fresh"}] on success;
-    [{"id":…,"ok":false,"error":TAG,"message":…}] on failure, where
+    [{"id":…,"ok":false,"error":TAG,"message":…,"retries":…}] on
+    failure (batch elements included), where
     [TAG] is ["overloaded"] (admission queue full — backpressure),
     ["bad_request"], or a synthesis failure tag ([timeout],
     [budget_exhausted], …).  A [batch] response carries its

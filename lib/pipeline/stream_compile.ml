@@ -101,32 +101,26 @@ let chain_of cfg =
   | None, Settings.Rz_ir -> Synth.rz_chain ()
   | None, Settings.U3_ir -> Synth.u3_chain
 
-(* The IR decides the target kind: under the U3 IR every rotation is a
-   Unitary of its canonical U3 angles; under the Rz IR every rotation
-   must be an Rz.  The key — canonical target, ε, chain id, gate set —
-   is the one memo and dedup identity: two chains or alphabets can
-   synthesize the same target at the same ε to different words, so
-   they never share a cell.  ε is written exactly ([%h]): a run at ε
-   must never be served a word cached for a nearby ε. *)
+(* The IR decides the target kind: under the U3 IR every rotation is
+   the U3 of its canonical Euler angles; under the Rz IR every rotation
+   must be an Rz. *)
+let canonical_target ir g =
+  match (ir, g) with
+  | Settings.Rz_ir, Qgate.Rz theta -> Ok (Synth.Rz (canonical_angle theta))
+  | Settings.Rz_ir, _ ->
+      Error
+        (Robust.Backend_error (Printf.sprintf "non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
+  | Settings.U3_ir, _ ->
+      let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+      Ok (Synth.U3 (canonical_angle t, canonical_angle p, canonical_angle l))
+
+let key_suffix cfg =
+  Synth.key_suffix ~epsilon:cfg.epsilon ~chain:(Synth.chain_id (chain_of cfg))
+    ~gate_set:cfg.gate_set.Gateset.name
+
 let classify cfg =
-  let chain_id = Synth.chain_id (chain_of cfg) and gs = cfg.gate_set.Gateset.name in
-  let key target = Printf.sprintf "%s@%h|%s|%s" target cfg.epsilon chain_id gs in
-  let angle a = Printf.sprintf "%.10f" a in
-  fun g ->
-    match (cfg.ir, g) with
-    | Settings.Rz_ir, Qgate.Rz theta ->
-        let theta = canonical_angle theta in
-        Ok (key (angle theta), Synth.Rz theta)
-    | Settings.Rz_ir, _ ->
-        Error
-          (Robust.Backend_error
-             (Printf.sprintf "non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
-    | Settings.U3_ir, _ ->
-        let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-        let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
-        Ok
-          ( key (Printf.sprintf "%s/%s/%s" (angle t) (angle p) (angle l)),
-            Synth.Unitary (Mat2.u3 t p l) )
+  let suffix = key_suffix cfg in
+  fun g -> Result.map (fun t -> (Synth.key ~suffix t, t)) (canonical_target cfg.ir g)
 
 (* Clifford+T words are written in matrix order (leftmost factor applied
    last); instruction streams run in time order, so splicing a word
@@ -139,8 +133,9 @@ let lower seq = Array.of_list (List.rev_map Qgate.of_ctgate seq)
 type front = Trivial of Qgate.t array | Nontrivial of string * Synth.target
 
 (* The front table is keyed by the configuration's classification
-   context and the exact gate.  Angles compare by their bits, so gates
-   that print differently (0.0 and -0.0) never share a cell. *)
+   context (the IR and the key suffix) and the exact gate.  Angles
+   compare by their bits, so gates that print differently (0.0 and
+   -0.0) never share a cell. *)
 module Front = Hashtbl.Make (struct
   type t = string * Qgate.t
 
@@ -210,10 +205,7 @@ exception Abort of Robust.failure
    filled on first sight; [Abort] on a rotation the IR cannot take. *)
 let classify_front cfg =
   let classify = classify cfg and gs = cfg.gate_set.Gateset.name in
-  let context =
-    Printf.sprintf "%s|%h|%s|%s" (Settings.ir_to_string cfg.ir) cfg.epsilon
-      (Synth.chain_id (chain_of cfg)) gs
-  in
+  let context = Settings.ir_to_string cfg.ir ^ key_suffix cfg in
   fun g ->
     let k = (context, g) in
     match Front.find_opt front k with
@@ -230,33 +222,6 @@ let classify_front cfg =
         make_room Front.length Front.reset front;
         Front.add front k f;
         f
-
-(* Provenance of an occurrence served by the memo or by another
-   occurrence's job: [Synth.run_chain] writes one fresh ledger record
-   per chain execution, so every other occurrence gets a [cached]
-   replay record and a run's ledger holds exactly
-   [rotations_synthesized] records. *)
-let replay_record ~chain ~gate_set ~requested target (a : Robust.attempt) =
-  {
-    Ledger.target = Synth.target_id target;
-    gate_set;
-    chain;
-    eps_req = requested;
-    rung_eps = a.Robust.rung_epsilon;
-    distance = a.Robust.distance;
-    backend = a.Robust.backend;
-    fallbacks = a.Robust.fallbacks;
-    attempts = a.Robust.fallbacks + 1;
-    t_count = Ctgate.t_count a.Robust.word;
-    word_len = List.length a.Robust.word;
-    wall_s = 0.0;
-    degraded = a.Robust.fallbacks > 0 || a.Robust.distance > requested;
-    cached = true;
-    source = "replay";
-    ok = true;
-    failure = None;
-    request_id = "";
-  }
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                         *)
@@ -340,7 +305,12 @@ let compile cfg ~window ~on_degraded ~next ~emit =
       Hashtbl.add memo r.key (a, gates)
     end
     else if Ledger.enabled () then
-      Ledger.record (replay_record ~chain:chain_id ~gate_set:gs ~requested:cfg.epsilon r.target a);
+      (* [Synth.run_chain] writes one fresh record per chain execution;
+         every other occurrence gets a replay record, so a run's ledger
+         holds exactly [rotations_synthesized] records. *)
+      Ledger.record
+        (Synth.ledger_record ~source:`Replay ~target:r.target ~gate_set:gs ~chain:chain_id
+           ~eps_req:cfg.epsilon (Ok a));
     if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then begin
       incr degraded;
       Obs.incr c_degraded;

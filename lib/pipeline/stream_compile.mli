@@ -119,12 +119,20 @@ val canonical_angle : float -> float
     −0.0 mapped to 0.0: synthesis targets are built from it, so rz(θ)
     and rz(θ+2π) share one synthesis and one memo entry. *)
 
+val canonical_target : Settings.ir -> Qgate.t -> (Synth.target, Robust.failure) result
+(** The canonical target of a rotation — the one canonicalization every
+    front-end uses (the engine's {!classify}, the server's request
+    parser).  The IR decides the target kind: under the U3 IR a
+    [Synth.U3] of the gate's [Mat2.to_u3_angles], each through
+    {!canonical_angle}; under the Rz IR a [Synth.Rz] of the canonical
+    angle, and any other rotation is a [Backend_error]. *)
+
 val classify : config -> Qgate.t -> (string * Synth.target, Robust.failure) result
-(** The memo key (canonical target, ε, chain id, gate-set name) and the
-    canonical target of a nontrivial rotation.  The IR decides the
-    target kind: a [Synth.Unitary] of the canonical U3 angles under the
-    U3 IR; a [Synth.Rz] under the Rz IR, where any other rotation is a
-    [Backend_error]. *)
+(** The memo key and the canonical target of a nontrivial rotation:
+    {!canonical_target} under [config.ir], keyed by [Synth.key] with
+    the configuration's ε, chain id and gate-set name.  The key's
+    leading id ([Store.target_id]) is the text the ledger and the
+    server print for the rotation. *)
 
 val set_cache_capacity : int -> unit
 (** Bound the memo (default 65536 entries; flushed wholesale when full).

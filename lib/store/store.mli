@@ -69,16 +69,21 @@ type t
 (** {1 Targets} *)
 
 type target = Rz of float | U3 of float * float * float
-(** Canonical rotation targets.  [U3] carries the Euler angles of
-    [Mat2.to_u3_angles]; angle identity follows [Synth.target_id]'s
-    10-decimal rendering, while the exact float bits are persisted (hex
-    floats) so re-verification reconstructs the matrix bit-exactly. *)
+(** A rotation target — the one target type of the system ([Synth.target]
+    is this type).  [U3] carries Euler angles as [Mat2.u3] takes them.
+    Identity is {!target_id}'s 10-decimal rendering; the exact float
+    bits are persisted (hex floats) so re-verification reconstructs the
+    matrix bit-exactly. *)
 
 val target_id : target -> string
-(** ["rz(%.10f)"] / ["u3(%.10f,%.10f,%.10f)"] — identical to
-    [Synth.target_id] on the corresponding [Synth.target]. *)
+(** ["rz(%.10f)"] / ["u3(%.10f,%.10f,%.10f)"]: the one rotation id —
+    the store cell, the ledger's [target], the server's response
+    [target], and the head of every synthesis key ([Synth.key]).  This
+    is the only place the id is written. *)
 
 val target_mat2 : target -> Mat2.t
+(** [Mat2.rz θ] / [Mat2.u3 θ φ λ]: the matrix every backend and every
+    verification sees. *)
 
 val default_gate_set : string
 (** ["cliffordt"] — the only alphabet the compiler emits today; the key

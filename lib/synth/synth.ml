@@ -4,9 +4,7 @@
 
 type capability = Rz_only | Full_u3
 
-type target = Rz of float | Unitary of Mat2.t
-
-let target_mat2 = function Rz theta -> Mat2.rz theta | Unitary m -> m
+type target = Store.target = Rz of float | U3 of float * float * float
 
 (* ------------------------------------------------------------------ *)
 (* Per-call configuration                                              *)
@@ -99,7 +97,7 @@ module Trasyn_backend : BACKEND = struct
   let supports_gate_set _ = true
 
   let synthesize target cfg =
-    let m = target_mat2 target in
+    let m = Store.target_mat2 target in
     wrap name (fun () ->
         let tconf = { cfg.trasyn with Trasyn.gate_set = gate_set_name cfg } in
         let r =
@@ -112,7 +110,7 @@ end
 module Gridsynth_backend : BACKEND = struct
   let name = "gridsynth"
 
-  (* Native domain is a single Rz word; [Unitary] targets still work,
+  (* Native domain is a single Rz word; [U3] targets still work,
      routed through the Eq. (1) Euler-angle decomposition (three Rz
      syntheses at ε/3) inside [Gridsynth.u3]. *)
   let capability = Rz_only
@@ -129,8 +127,12 @@ module Gridsynth_backend : BACKEND = struct
                 ~epsilon:cfg.epsilon ()
             in
             (r.Gridsynth.seq, r.Gridsynth.distance)
-        | Unitary m ->
-            let theta, phi, lam = Mat2.to_u3_angles m in
+        | U3 _ ->
+            (* The angles come from the target's matrix, not from the
+               target: [Mat2.to_u3_angles (Mat2.u3 t p l)] can differ
+               from (t, p, l) in the last bit, and the golden digests
+               pin the words this derivation gives. *)
+            let theta, phi, lam = Mat2.to_u3_angles (Store.target_mat2 target) in
             let r =
               Gridsynth.u3 ?max_extra_n:cfg.gs_max_extra_n ~deadline:cfg.deadline ~theta ~phi
                 ~lam ~epsilon:cfg.epsilon ()
@@ -146,7 +148,7 @@ module Synthetiq_backend : BACKEND = struct
   let supports_gate_set = String.equal "cliffordt"
 
   let synthesize target cfg =
-    let m = target_mat2 target in
+    let m = Store.target_mat2 target in
     wrap name (fun () ->
         let time_limit =
           Float.min cfg.synthetiq_seconds (Obs.Deadline.remaining_s cfg.deadline)
@@ -168,7 +170,7 @@ module Sk_backend : BACKEND = struct
   let supports_gate_set = String.equal "cliffordt"
 
   let synthesize target cfg =
-    let m = target_mat2 target in
+    let m = Store.target_mat2 target in
     wrap name (fun () ->
         let r =
           Solovay_kitaev.synthesize_to ?base_t:cfg.sk_base_t ?max_depth:cfg.sk_max_depth
@@ -333,19 +335,67 @@ let rung_of_spec ~config:base ~target spec : Robust.rung =
         | Error f -> Robust.fail f);
   }
 
-(* Canonical target id for provenance: enough digits that two angles
-   the pipeline considers distinct never collide in a ledger. *)
-let target_id = function
-  | Rz theta -> Printf.sprintf "rz(%.10f)" theta
-  | Unitary m ->
-      let theta, phi, lam = Mat2.to_u3_angles m in
-      Printf.sprintf "u3(%.10f,%.10f,%.10f)" theta phi lam
+(* A key is the target's id plus everything else that can change the
+   word: ε (written exactly, so a run at ε is never served a word made
+   for a nearby ε), the chain and the alphabet. *)
+let key_suffix ~epsilon ~chain ~gate_set = Printf.sprintf "@%h|%s|%s" epsilon chain gate_set
+
+let key ~suffix target = Store.target_id target ^ suffix
 
 let failure_tag : Robust.failure -> string = function
   | Robust.Timeout -> "timeout"
   | Robust.Budget_exhausted -> "budget_exhausted"
   | Robust.Verification_failed -> "verification_failed"
   | Robust.Backend_error _ -> "backend_error"
+
+let ledger_record ?(source = `Fresh) ?attempts ?degraded ?(wall_s = 0.0) ~target ~gate_set
+    ~chain ~eps_req outcome =
+  let base =
+    {
+      Ledger.target = Store.target_id target;
+      gate_set;
+      chain;
+      eps_req;
+      rung_eps = nan;
+      distance = nan;
+      backend = "failed";
+      fallbacks = 0;
+      attempts = 1;
+      t_count = 0;
+      word_len = 0;
+      wall_s;
+      degraded = true;
+      cached = source <> `Fresh;
+      source = (match source with `Fresh -> "fresh" | `Replay -> "replay" | `Store -> "store");
+      ok = false;
+      failure = None;
+      request_id = "";
+    }
+  in
+  match outcome with
+  | Ok (a : Robust.attempt) ->
+      {
+        base with
+        Ledger.rung_eps = a.Robust.rung_epsilon;
+        distance = a.Robust.distance;
+        backend = a.Robust.backend;
+        fallbacks = a.Robust.fallbacks;
+        attempts = Option.value attempts ~default:(a.Robust.fallbacks + 1);
+        t_count = Ctgate.t_count a.Robust.word;
+        word_len = List.length a.Robust.word;
+        degraded =
+          Option.value degraded
+            ~default:(a.Robust.fallbacks > 0 || a.Robust.distance > eps_req);
+        ok = true;
+      }
+  | Error f ->
+      let attempts = Option.value attempts ~default:1 in
+      {
+        base with
+        Ledger.fallbacks = max 0 (attempts - 1);
+        attempts;
+        failure = Some (failure_tag f);
+      }
 
 let c_rotations = Obs.counter "synth.rotations"
 let c_store_hit = Obs.counter "synth.store.hit"
@@ -369,12 +419,6 @@ let store () =
   Mutex.unlock store_lock;
   s
 
-let store_target = function
-  | Rz theta -> Store.Rz theta
-  | Unitary m ->
-      let theta, phi, lam = Mat2.to_u3_angles m in
-      Store.U3 (theta, phi, lam)
-
 let run_chain_sourced ?deadline ~config:cfg chain target =
   let deadline =
     match deadline with
@@ -384,6 +428,12 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
   Obs.incr c_rotations;
   let t0 = Obs.Clock.elapsed_s () in
   let gs_name = gate_set_name cfg in
+  let record ?attempts ?degraded source outcome =
+    if Ledger.enabled () then
+      Ledger.record
+        (ledger_record ~source ?attempts ?degraded ~wall_s:(Obs.Clock.elapsed_s () -. t0) ~target
+           ~gate_set:gs_name ~chain:(chain_id chain) ~eps_req:cfg.epsilon outcome)
+  in
   (* Consult the persistent store first: a stored word whose verified
      distance is ≤ ε is a valid answer for this request (ε-monotonic
      reuse), already re-verified by the store's read path.  The lookup
@@ -396,46 +446,24 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
         (* Under its own span so a request's waterfall shows the store
            consult (and its outcome) as a step distinct from synthesis. *)
         Obs.span "synth.store.lookup" (fun () ->
-            let hit =
-              Store.lookup st ~gate_set:gs_name ~epsilon:cfg.epsilon (store_target target)
-            in
+            let hit = Store.lookup st ~gate_set:gs_name ~epsilon:cfg.epsilon target in
             Obs.incr (match hit with Some _ -> c_store_hit | None -> c_store_miss);
             Obs.set_span_attr "outcome" (match hit with Some _ -> "hit" | None -> "miss");
             hit)
   in
   match store_hit with
   | Some (e : Store.entry) ->
-      if Ledger.enabled () then
-        Ledger.record
-          {
-            Ledger.target = target_id target;
-            gate_set = gs_name;
-            chain = chain_id chain;
-            eps_req = cfg.epsilon;
-            rung_eps = cfg.epsilon;
-            distance = e.Store.distance;
-            backend = e.Store.backend;
-            fallbacks = 0;
-            attempts = 0;
-            t_count = e.Store.t_count;
-            word_len = List.length e.Store.word;
-            wall_s = Obs.Clock.elapsed_s () -. t0;
-            degraded = false;
-            cached = true;
-            source = "store";
-            ok = true;
-            failure = None;
-            request_id = "";
-          };
-      Ok
-        ( {
-            Robust.word = e.Store.word;
-            distance = e.Store.distance;
-            backend = e.Store.backend;
-            fallbacks = 0;
-            rung_epsilon = cfg.epsilon;
-          },
-          `Store )
+      let a =
+        {
+          Robust.word = e.Store.word;
+          distance = e.Store.distance;
+          backend = e.Store.backend;
+          fallbacks = 0;
+          rung_epsilon = cfg.epsilon;
+        }
+      in
+      record ~attempts:0 ~degraded:false `Store (Ok a);
+      Ok (a, `Store)
   | None ->
   (* Rungs whose backend cannot emit this alphabet are skipped, so a
      non-Clifford+T request falls through gridsynth/sk straight to the
@@ -448,53 +476,15 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
            (Printf.sprintf "no backend in chain %S supports gate set %S" (chain_id chain)
               gs_name))
     else
-      Robust.run_chain ~deadline ~target:(target_mat2 target)
+      Robust.run_chain ~deadline ~target:(Store.target_mat2 target)
         (List.map (rung_of_spec ~config:cfg ~target) usable)
   in
   (* One fresh provenance record per chain execution, success or
      failure; the pipelines add cached-replay records for occurrences
      served by dedup or the memo caches. *)
-  if Ledger.enabled () then begin
-    let wall_s = Obs.Clock.elapsed_s () -. t0 in
-    let base =
-      {
-        Ledger.target = target_id target;
-        gate_set = gs_name;
-        chain = chain_id chain;
-        eps_req = cfg.epsilon;
-        rung_eps = nan;
-        distance = nan;
-        backend = "failed";
-        fallbacks = max 0 (List.length usable - 1);
-        attempts = List.length usable;
-        t_count = 0;
-        word_len = 0;
-        wall_s;
-        degraded = true;
-        cached = false;
-        source = "fresh";
-        ok = false;
-        failure = None;
-        request_id = "";
-      }
-    in
-    Ledger.record
-      (match result with
-      | Ok (a : Robust.attempt) ->
-          {
-            base with
-            Ledger.rung_eps = a.Robust.rung_epsilon;
-            distance = a.Robust.distance;
-            backend = a.Robust.backend;
-            fallbacks = a.Robust.fallbacks;
-            attempts = a.Robust.fallbacks + 1;
-            t_count = Ctgate.t_count a.Robust.word;
-            word_len = List.length a.Robust.word;
-            degraded = a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon;
-            ok = true;
-          }
-      | Error f -> { base with Ledger.failure = Some (failure_tag f) })
-  end;
+  record
+    ?attempts:(match result with Ok _ -> None | Error _ -> Some (List.length usable))
+    `Fresh result;
   (* A freshly synthesized, guard-verified word is worth keeping — under
      the alphabet that produced it, so cross-alphabet hits are
      impossible. *)
@@ -503,7 +493,7 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
       Store.put st
         {
           Store.gate_set = gs_name;
-          target = store_target target;
+          target;
           eps_req = cfg.epsilon;
           distance = a.Robust.distance;
           word = a.Robust.word;
@@ -516,26 +506,3 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
 
 let run_chain ?deadline ~config chain target =
   Result.map fst (run_chain_sourced ?deadline ~config chain target)
-
-let synthesize_u3 ?deadline ?(config = Trasyn.default_config) ?(budgets = default_budgets)
-    ~epsilon target =
-  let cfg =
-    {
-      epsilon;
-      deadline = Obs.Deadline.none;
-      gate_set = Gateset.default;
-      trasyn = config;
-      trasyn_budgets = budgets;
-      trasyn_attempts = 1;
-      gs_max_extra_n = None;
-      gs_candidates_per_n = None;
-      synthetiq_seconds = 10.0;
-      synthetiq_seed = 0;
-      sk_base_t = None;
-      sk_max_depth = None;
-    }
-  in
-  run_chain ?deadline ~config:cfg u3_chain (Unitary target)
-
-let synthesize_rz ?deadline ?gs_scale ~epsilon theta =
-  run_chain ?deadline ~config:(config ~epsilon ()) (rz_chain ?gs_scale ()) (Rz theta)

@@ -21,14 +21,26 @@
 
 type capability =
   | Rz_only
-      (** the engine natively synthesizes a single Rz word; [Unitary]
+      (** the engine natively synthesizes a single Rz word; [U3]
           targets are still accepted, routed through the Eq. (1)
           Euler-angle decomposition (three Rz syntheses at ε/3) *)
   | Full_u3  (** the engine hits an arbitrary SU(2) target directly *)
 
-type target = Rz of float | Unitary of Mat2.t
+type target = Store.target = Rz of float | U3 of float * float * float
+(** The one rotation-target type: the store's.  Its id is
+    {!Store.target_id} and its matrix {!Store.target_mat2}; callers
+    that hold a matrix pass the [U3] of its [Mat2.to_u3_angles]. *)
 
-val target_mat2 : target -> Mat2.t
+val key_suffix : epsilon:float -> chain:string -> gate_set:string -> string
+(** The per-configuration part of a synthesis key:
+    ["@" ^ ε written exactly ([%h]) ^ "|" ^ chain id ^ "|" ^ gate set]. *)
+
+val key : suffix:string -> target -> string
+(** [Store.target_id target ^ suffix]: the one identity of a synthesis,
+    used as the engine's memo key and the server's batch dedup key.
+    Two chains or alphabets can give one target different words at one
+    ε, so they never share a key.  (The store's cell is ε-free by
+    design: it serves any stored word within ε.) *)
 
 (** {1 Per-call configuration} *)
 
@@ -168,15 +180,30 @@ val store : unit -> Store.t option
 
 (** {1 Running a chain} *)
 
-val target_id : target -> string
-(** Canonical provenance id: ["rz(%.10f)"] or ["u3(θ,φ,λ)"] via the
-    Euler decomposition — what {!run_chain} writes into [Ledger]
-    records. *)
-
 val failure_tag : Robust.failure -> string
 (** Short stable tag ("timeout", "budget_exhausted", ...) used in
     ledger records; the human-readable form stays
     [Robust.failure_to_string]. *)
+
+val ledger_record :
+  ?source:[ `Fresh | `Replay | `Store ] ->
+  ?attempts:int ->
+  ?degraded:bool ->
+  ?wall_s:float ->
+  target:target ->
+  gate_set:string ->
+  chain:string ->
+  eps_req:float ->
+  (Robust.attempt, Robust.failure) result ->
+  Ledger.record
+(** The provenance record of one rotation occurrence — the only place
+    a [Ledger.record] is built.  [source] (default [`Fresh]) sets
+    [source] and [cached].  On success the word, distance, backend,
+    fallbacks and rung ε come from the attempt; [attempts] defaults to
+    fallbacks + 1 and [degraded] to "fell back or overshot
+    [eps_req]".  On failure the record carries the failure tag, no
+    word, [nan] distances, and [attempts] (default 1) rungs tried.
+    [wall_s] defaults to 0. *)
 
 val run_chain :
   ?deadline:Obs.Deadline.t ->
@@ -206,21 +233,3 @@ val run_chain_sourced :
 (** {!run_chain}, additionally reporting whether the word was served
     from the persistent store or freshly synthesized — what the batch
     server stamps into its responses. *)
-
-val synthesize_u3 :
-  ?deadline:Obs.Deadline.t ->
-  ?config:Trasyn.config ->
-  ?budgets:int list ->
-  epsilon:float ->
-  Mat2.t ->
-  (Robust.attempt, Robust.failure) result
-(** {!run_chain} over {!u3_chain} (same contract the robust layer's
-    [synthesize_u3] used to offer). *)
-
-val synthesize_rz :
-  ?deadline:Obs.Deadline.t ->
-  ?gs_scale:float ->
-  epsilon:float ->
-  float ->
-  (Robust.attempt, Robust.failure) result
-(** {!run_chain} over {!rz_chain} on Rz(θ). *)

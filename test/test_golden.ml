@@ -77,6 +77,34 @@ let stream_text_digest jobs =
           | Error f -> Alcotest.fail (Robust.failure_to_string f)));
   Digest.to_hex (Digest.file output)
 
+(* The U3-IR engine path with the window, as [compile_cli --stream -w
+   trasyn] runs it: every nontrivial rotation becomes a canonical U3
+   target. *)
+let stream_u3_digest jobs =
+  let cfg =
+    Stream_compile.config ~epsilon:0.2 ~ir:Settings.U3_ir ~window:64 ~jobs ~trasyn:small_trasyn
+      ~budgets:[ 6 ] ()
+  in
+  match Stream_compile.run_circuit cfg (qaoa_prefix ~gates:1500) with
+  | Ok (c, _) -> digest_of c
+  | Error f -> Alcotest.fail (Robust.failure_to_string f)
+
+(* The rotation ids a U3-IR run writes into the ledger, sorted so the
+   digest pins their text and not their order. *)
+let ledger_ids_digest jobs =
+  Ledger.reset ();
+  Ledger.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Ledger.set_enabled false;
+      Ledger.reset ())
+  @@ fun () ->
+  List.iter
+    (fun c ->
+      ignore (Pipeline.run_trasyn ~epsilon:0.2 ~config:small_trasyn ~budgets:[ 6 ] ~jobs c))
+    [ Generators.qft 3; Generators.vqe_hea ~seed:2 ~n:4 ~layers:1 ];
+  List.map (fun (r : Ledger.record) -> r.Ledger.target) (Ledger.records ())
+  |> List.sort compare |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
 let suite =
   List.map
     (fun (name, want, compile) ->
@@ -89,4 +117,8 @@ let suite =
               Alcotest.(check string) (Printf.sprintf "%s --jobs %d" name jobs) want got)
             [ 1; 2 ]))
     (List.map (fun (name, want, compile) -> (name, want, fun jobs -> digest_of (compile jobs))) cases
-    @ [ ("stream qaoa prefix text", "559e4dee32bb18eaaa579ba01dc0be2f", stream_text_digest) ])
+    @ [
+        ("stream qaoa prefix text", "559e4dee32bb18eaaa579ba01dc0be2f", stream_text_digest);
+        ("stream qaoa prefix u3", "9c312e7c036d52b81a211e95ed6002c9", stream_u3_digest);
+        ("trasyn ledger ids", "a8f0a1c83fb6f7d274f021db50325fcd", ledger_ids_digest);
+      ])

@@ -241,9 +241,16 @@ let chain_tests =
    tests pin down that the registry-built chains keep the exact
    fallback semantics the robust layer used to hard-wire. *)
 let ladder_tests =
+  let run_rz () =
+    Synth.run_chain ~config:(Synth.config ~epsilon:1e-2 ()) (Synth.rz_chain ()) (Synth.Rz 0.61)
+  in
+  let run_u3 () =
+    let t, p, l = Mat2.to_u3_angles (Mat2.u3 0.4 1.1 (-0.7)) in
+    Synth.run_chain ~config:(Synth.config ~epsilon:0.05 ()) Synth.u3_chain (Synth.U3 (t, p, l))
+  in
   [
     Alcotest.test_case "rz happy path takes the first rung" `Quick (fun () ->
-        match Synth.synthesize_rz ~epsilon:1e-2 0.61 with
+        match run_rz () with
         | Ok a ->
             Alcotest.(check string) "backend" "gridsynth" a.Robust.backend;
             Alcotest.(check int) "no fallbacks" 0 a.Robust.fallbacks;
@@ -251,7 +258,7 @@ let ladder_tests =
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "u3 ladder survives a dead TRASYN" `Quick (fun () ->
         Robust.Fault.with_faults [ fault "trasyn" Robust.Fault.Fail ] (fun () ->
-            match Synth.synthesize_u3 ~epsilon:0.05 (Mat2.u3 0.4 1.1 (-0.7)) with
+            match run_u3 () with
             | Ok a ->
                 Alcotest.(check string) "rescued by gridsynth" "gridsynth" a.Robust.backend;
                 Alcotest.(check int) "two dead rungs" 2 a.Robust.fallbacks;
@@ -261,7 +268,7 @@ let ladder_tests =
         Robust.Fault.with_faults
           [ fault "trasyn" Robust.Fault.Fail; fault "gridsynth" Robust.Fault.Fail ]
           (fun () ->
-            match Synth.synthesize_u3 ~epsilon:0.05 (Mat2.u3 0.4 1.1 (-0.7)) with
+            match run_u3 () with
             | Ok a ->
                 Alcotest.(check string) "backend" "sk" a.Robust.backend;
                 (* SK lands under its relaxed floor; the degradation is
@@ -270,7 +277,7 @@ let ladder_tests =
             | Error f -> Alcotest.fail (Robust.failure_to_string f)));
     Alcotest.test_case "all backends dead means a structured failure" `Quick (fun () ->
         Robust.Fault.with_faults [ fault "*" Robust.Fault.Fail ] (fun () ->
-            match Synth.synthesize_rz ~epsilon:1e-2 0.61 with
+            match run_rz () with
             | Error (Robust.Backend_error msg) ->
                 Alcotest.(check bool) "last rung named" true (contains msg "sk")
             | Ok _ -> Alcotest.fail "nothing should succeed"

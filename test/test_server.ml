@@ -126,11 +126,46 @@ let suite =
         let retries0 = cval "server.retries" in
         let t, out = make_server ~cfg () in
         ignore (Server.submit_line t {|{"op":"rz","id":4,"theta":0.37}|});
+        (* A failed batch element reports its retries like a single. *)
+        ignore
+          (Server.submit_line t {|{"op":"batch","id":5,"requests":[{"op":"rz","theta":0.37}]}|});
         Server.drain t;
         (match out () with
-        | [ r ] ->
+        | [ r; b ] ->
             Alcotest.(check bool) "failed" true (contains r {|"ok":false|});
-            Alcotest.(check bool) "retries reported" true (contains r {|"retries":2|})
+            Alcotest.(check bool) "retries reported" true (contains r {|"retries":2|});
+            Alcotest.(check bool) "batch element failed" true (contains b {|"ok":false|});
+            Alcotest.(check bool) "batch element retries reported" true
+              (contains b {|"retries":2|})
+        | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+        Alcotest.(check int) "retry counter" (retries0 + 4) (cval "server.retries"));
+    Alcotest.test_case "rz(theta) and rz(theta+2pi) are one rotation to the server" `Quick
+      (fun () ->
+        let two_pi = 8.0 *. atan 1.0 in
+        let t, out = make_server () in
+        let hits0 = cval "obs.planner.dedup_hits" in
+        ignore
+          (Server.submit_line t
+             (Printf.sprintf {|{"op":"batch","id":6,"requests":[{"op":"rz","theta":%.17g},{"op":"rz","theta":%.17g}]}|}
+                0.37 (0.37 +. two_pi)));
+        Server.drain t;
+        Alcotest.(check int) "one pool job" (hits0 + 1) (cval "obs.planner.dedup_hits");
+        let engine_id =
+          match Stream_compile.classify (Stream_compile.config ()) (Qgate.Rz (0.37 +. two_pi)) with
+          | Ok (_, target) -> Store.target_id target
+          | Error f -> Alcotest.fail (Robust.failure_to_string f)
+        in
+        let target j =
+          match Obs.Json.member "target" j with
+          | Some (Obs.Json.Str s) -> s
+          | _ -> Alcotest.fail "element without a target"
+        in
+        match out () with
+        | [ b ] -> (
+            match Result.map (Obs.Json.member "results") (Obs.Json.parse b) with
+            | Ok (Some (Obs.Json.Arr [ e1; e2 ])) ->
+                Alcotest.(check string) "first element is the engine's id" engine_id (target e1);
+                Alcotest.(check string) "second element is the engine's id" engine_id (target e2)
+            | _ -> Alcotest.failf "expected a two-element batch: %s" b)
         | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
-        Alcotest.(check int) "retry counter" (retries0 + 2) (cval "server.retries"));
   ]

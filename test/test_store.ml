@@ -41,17 +41,17 @@ let append_bytes path s =
 
 let seg1 dir = Filename.concat (Filename.concat dir "segments") "seg-000001.log"
 
-(* A genuine synthesized word for θ so read-path verification passes:
-   gridsynth is deterministic and fast at loose ε. *)
-let real_entry ?(eps = 0.05) theta =
+(* A genuine synthesized word for a target so read-path verification
+   passes: gridsynth is deterministic and fast at loose ε. *)
+let real_target_entry ?(eps = 0.05) target =
   let cfg = Synth.config ~epsilon:eps () in
   let module B = (val Synth.find_exn "gridsynth") in
-  match B.synthesize (Synth.Rz theta) cfg with
+  match B.synthesize target cfg with
   | Error f -> Alcotest.failf "gridsynth failed: %s" (Robust.failure_to_string f)
   | Ok (word, d) ->
       {
         Store.gate_set = Store.default_gate_set;
-        target = Store.Rz theta;
+        target;
         eps_req = eps;
         distance = d;
         word;
@@ -59,6 +59,15 @@ let real_entry ?(eps = 0.05) theta =
         backend = "gridsynth";
         chain = "test";
       }
+
+let real_entry ?eps theta = real_target_entry ?eps (Store.Rz theta)
+
+(* A U3 entry under the compiler's canonical target, as the U3 IR files
+   it. *)
+let canonical_u3_entry () =
+  match Stream_compile.canonical_target Settings.U3_ir (Qgate.U3 (0.4, 7.2, -0.7)) with
+  | Ok target -> real_target_entry ~eps:0.1 target
+  | Error f -> Alcotest.fail (Robust.failure_to_string f)
 
 let entry_words e = Ctgate.seq_to_string e.Store.word
 
@@ -72,16 +81,23 @@ let suite =
         Alcotest.(check int) "empty" 0 (Store.crc32 ""));
     Alcotest.test_case "entry payload codec round-trips bit-exactly" `Quick (fun () ->
         let e = real_entry 0.37 in
-        (match Store.entry_of_payload (Store.entry_payload e) with
-        | Error err -> Alcotest.failf "decode: %s" err
-        | Ok e' ->
-            Alcotest.(check string) "word" (entry_words e) (entry_words e');
-            Alcotest.(check bool) "theta bits" true
-              (match (e.Store.target, e'.Store.target) with
-              | Store.Rz a, Store.Rz b ->
-                  Int64.bits_of_float a = Int64.bits_of_float b
-              | _ -> false);
-            Alcotest.(check int) "t_count" e.Store.t_count e'.Store.t_count);
+        let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+        List.iter
+          (fun e ->
+            match Store.entry_of_payload (Store.entry_payload e) with
+            | Error err -> Alcotest.failf "decode: %s" err
+            | Ok e' ->
+                Alcotest.(check string) "word" (entry_words e) (entry_words e');
+                Alcotest.(check string) "id" (Store.target_id e.Store.target)
+                  (Store.target_id e'.Store.target);
+                Alcotest.(check bool) "angle bits" true
+                  (match (e.Store.target, e'.Store.target) with
+                  | Store.Rz a, Store.Rz b -> same a b
+                  | Store.U3 (a1, b1, c1), Store.U3 (a2, b2, c2) ->
+                      same a1 a2 && same b1 b2 && same c1 c2
+                  | _ -> false);
+                Alcotest.(check int) "t_count" e.Store.t_count e'.Store.t_count)
+          [ e; canonical_u3_entry () ];
         let fr = Store.frame "hello" in
         Alcotest.(check bool) "frame magic" true (String.length fr > 5 && String.sub fr 0 5 = "TGSR ");
         (* A tampered payload must fail the codec's own validation or

@@ -23,6 +23,11 @@ let counter_delta name f =
 let fault ?(prob = 1.0) backend mode = { Robust.Fault.backend; mode; prob }
 let u3_target = Mat2.u3 0.4 1.1 (-0.7)
 
+(* The same rotation as a synthesis target. *)
+let u3 =
+  let t, p, l = Mat2.to_u3_angles u3_target in
+  Synth.U3 (t, p, l)
+
 (* The adapter's claimed distance must match the word it returned — the
    registry's contract is (word, honest distance), independently of the
    run_chain guard re-checking it. *)
@@ -69,7 +74,7 @@ let adapter_tests =
             ~budgets:[ 6 ] ~epsilon:0.0 ()
         in
         let module B = (val Synth.find_exn "trasyn") in
-        match B.synthesize (Synth.Unitary u3_target) cfg with
+        match B.synthesize u3 cfg with
         | Ok r -> check_roundtrip ~target:u3_target ~slack:1e-6 r
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "gridsynth round-trips an Rz target" `Quick (fun () ->
@@ -81,7 +86,7 @@ let adapter_tests =
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "gridsynth serves a Unitary target via Eq. (1)" `Quick (fun () ->
         let module B = (val Synth.find_exn "gridsynth") in
-        match B.synthesize (Synth.Unitary u3_target) (Synth.config ~epsilon:0.1 ()) with
+        match B.synthesize u3 (Synth.config ~epsilon:0.1 ()) with
         | Ok ((_, d) as r) ->
             Alcotest.(check bool) "meets epsilon" true (d <= 0.1);
             check_roundtrip ~target:u3_target ~slack:1e-6 r
@@ -89,12 +94,12 @@ let adapter_tests =
     Alcotest.test_case "synthetiq round-trips at a loose threshold" `Quick (fun () ->
         let cfg = { (Synth.config ~epsilon:0.3 ()) with Synth.synthetiq_seconds = 5.0 } in
         let module B = (val Synth.find_exn "synthetiq") in
-        match B.synthesize (Synth.Unitary u3_target) cfg with
+        match B.synthesize u3 cfg with
         | Ok r -> check_roundtrip ~target:u3_target ~slack:1e-6 r
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "sk round-trips a U3 target" `Quick (fun () ->
         let module B = (val Synth.find_exn "sk") in
-        match B.synthesize (Synth.Unitary u3_target) (Synth.config ~epsilon:0.45 ()) with
+        match B.synthesize u3 (Synth.config ~epsilon:0.45 ()) with
         | Ok ((_, d) as r) ->
             Alcotest.(check bool) "under the SK floor" true (d <= 0.45);
             check_roundtrip ~target:u3_target ~slack:1e-6 r
