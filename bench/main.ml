@@ -79,7 +79,6 @@ let want id =
 let kernels () =
   Util.header "KERNEL MICROBENCHMARKS (Bechamel)";
   let target = Mat2.random_unitary (Random.State.make [| 3 |]) in
-  let table = Ma_table.get 8 in
   let module Tr = (val Synth.find_exn "trasyn") in
   let module Gs = (val Synth.find_exn "gridsynth") in
   let trasyn_cfg =
@@ -87,6 +86,19 @@ let kernels () =
       ~trasyn:{ Trasyn.default_config with samples = 256 }
       ~budgets:[ 8 ] ~epsilon:0.0 ()
   in
+  (* Step 3's input at the shipped depth: the raw best sample of a
+     three-site depth-10 chain, 76 gates (the suite's sampled words
+     average about 69). *)
+  let table10 = Ma_table.get 10 in
+  let table = Ma_table.get 8 in
+  let sampled =
+    let config =
+      { Trasyn.default_config with table_t = 10; samples = 48; beam = 4; post_process = false }
+    in
+    (Trasyn.synthesize ~config ~target ~budgets:[ 10; 10; 10 ] ()).Trasyn.seq
+  in
+  let deep_u = Exact_u.of_seq sampled in
+  Printf.printf "  postprocess-10 input: %d gates\n" (List.length sampled);
   Util.bechamel_kernels ~name:"synthesis"
     [
       ("trasyn-1site-k256", fun () -> ignore (Tr.synthesize (Util.u3_target target) trasyn_cfg));
@@ -97,6 +109,9 @@ let kernels () =
       ( "postprocess-window",
         fun () -> ignore (Postprocess.run table Ctgate.[ T; T; H; T; S; T; H; T; T; H; S; T ]) );
       ("exact-mul", fun () -> ignore (Exact_u.mul Exact_u.gate_h Exact_u.gate_t));
+      ("exact-canonical-key", fun () -> ignore (Exact_u.canonical_key deep_u));
+      ("postprocess-10-sampled", fun () -> ignore (Postprocess.run table10 sampled));
+      ("ma-table-build-10", fun () -> ignore (Ma_table.build 10));
     ]
 
 let () =

@@ -10,42 +10,53 @@ let cost word =
   let nonpauli = List.length (List.filter (fun g -> not (Ctgate.is_pauli g)) word) in
   (nonpauli, List.length word)
 
+(* The closure below keeps the first word it meets among equally cheap
+   ones, so which word it picks depends on the order its table iterates
+   in.  That order is fixed here by hashing the keys with [Hashtbl.hash],
+   which is what picked the published words; [Exact_u.Table]'s hash may
+   change without moving them, or any step-0 table entry built on them. *)
+module Closure_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
 (* Dijkstra-style closure over the (tiny) Clifford group. *)
 let elements : element array =
-  let table : (Ctgate.t list * Exact_u.t) Exact_u.Table.t = Exact_u.Table.create 64 in
-  let canonical_key u = Exact_u.key (Exact_u.canonicalize u) in
-  Exact_u.Table.replace table (canonical_key Exact_u.identity) ([], Exact_u.identity);
+  let table : (Ctgate.t list * Exact_u.t) Closure_table.t = Closure_table.create 64 in
+  Closure_table.replace table (Exact_u.canonical_key Exact_u.identity) ([], Exact_u.identity);
   let changed = ref true in
   while !changed do
     changed := false;
-    let current = Exact_u.Table.fold (fun _ v acc -> v :: acc) table [] in
+    let current = Closure_table.fold (fun _ v acc -> v :: acc) table [] in
     List.iter
       (fun (word, u) ->
         List.iter
           (fun g ->
-            let u' = Exact_u.mul u (Exact_u.of_gate g) in
+            let u' = Exact_u.mul_gate u g in
             let word' = word @ [ g ] in
-            let k = canonical_key u' in
-            match Exact_u.Table.find_opt table k with
+            let k = Exact_u.canonical_key u' in
+            match Closure_table.find_opt table k with
             | Some (existing, _) when cost existing <= cost word' -> ()
             | _ ->
-                Exact_u.Table.replace table k (word', u');
+                Closure_table.replace table k (word', u');
                 changed := true)
           generators)
       current
   done;
-  let all = Exact_u.Table.fold (fun _ (word, u) acc -> (word, u) :: acc) table [] in
+  let all = Closure_table.fold (fun _ (word, u) acc -> (word, u) :: acc) table [] in
   assert (List.length all = 24);
   let sorted = List.sort (fun (w1, _) (w2, _) -> compare (cost w1, w1) (cost w2, w2)) all in
   Array.of_list (List.mapi (fun index (word, u) -> { index; u; word }) sorted)
 
 let count = Array.length elements
+let keys = Array.map (fun e -> Exact_u.canonical_key e.u) elements
+
 let find_up_to_phase u =
-  let k = Exact_u.key (Exact_u.canonicalize u) in
+  let k = Exact_u.canonical_key u in
   let rec go i =
-    if i >= count then None
-    else if Exact_u.key (Exact_u.canonicalize elements.(i).u) = k then Some elements.(i)
-    else go (i + 1)
+    if i >= count then None else if keys.(i) = k then Some elements.(i) else go (i + 1)
   in
   go 0
 

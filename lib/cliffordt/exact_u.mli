@@ -1,7 +1,14 @@
 (** Exact single-qubit Clifford+T unitaries: (1/√2^k)·[[a,b],[c,d]] with
     entries in Z[ω] and k minimal.  Equality up to the 8 global phases
-    ω^j is decided by a canonical form, which is what backs the step-0
-    table and the peephole lookups — no float tolerance anywhere. *)
+    ω^j is decided by a canonical key, which is what backs the step-0
+    table and the peephole lookups — no float tolerance anywhere.
+
+    The products, the √2 reduction and the key work on the int fields
+    of {!O.t} directly rather than through the [Zomega.Make] functor:
+    without flambda every functor-level int operation is an indirect
+    call, and the table build and the step-3 peephole multiply millions
+    of matrices.  Integer arithmetic is exact, so the results are the
+    functor's bit for bit; the generic functor stays for [Zomega.Big]. *)
 
 module O = Zomega.Native
 
@@ -12,6 +19,12 @@ val make : a:O.t -> b:O.t -> c:O.t -> d:O.t -> k:int -> t
 
 val identity : t
 val mul : t -> t -> t
+
+val mul_gate : t -> Ctgate.t -> t
+(** [mul_gate u g] is [mul u (of_gate g)], without the general product:
+    T, S, Z and their inverses scale a column by a power of ω, X and Y
+    swap the columns, and H adds and subtracts them. *)
+
 val adjoint : t -> t
 
 val mul_phase : t -> int -> t
@@ -37,8 +50,11 @@ val to_mat2 : t -> Mat2.t
 val key : t -> int array
 (** Flat integer encoding (coefficients stay small at table depths). *)
 
-val canonicalize : t -> t
-(** The phase multiple with the lexicographically smallest {!key}. *)
+val canonical_key : t -> int array
+(** The lexicographically smallest {!key} among the eight phase
+    multiples ω^j·U: equal for two operators exactly when they agree up
+    to a global phase.  Read off the coefficients of U without building
+    the multiples, so the only allocation is the key itself. *)
 
 val equal : t -> t -> bool
 val equal_up_to_phase : t -> t -> bool
@@ -49,7 +65,7 @@ val sde : t -> int
 
 val to_string : t -> string
 
-(** Hash tables keyed by {!key} arrays. *)
+(** Hash tables keyed by {!key} arrays; the hash reads all 17 ints. *)
 module Key : sig
   type t = int array
 

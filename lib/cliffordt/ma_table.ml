@@ -33,7 +33,7 @@ let theoretical_count m = 24 * ((3 * (1 lsl m)) - 2)
    appends a syllable HT or SHT to every level-k prefix. *)
 let prefixes_by_level max_t =
   let syllables = Ctgate.[ [ H; T ]; [ S; H; T ] ] in
-  let apply (word, u) syl = (word @ syl, Exact_u.mul u (Exact_u.of_seq syl)) in
+  let apply (word, u) syl = (word @ syl, List.fold_left Exact_u.mul_gate u syl) in
   let levels = Array.make (max_t + 1) [] in
   levels.(0) <- [ ([], Exact_u.identity) ];
   if max_t >= 1 then
@@ -60,7 +60,7 @@ let of_entries ~max_t entries =
   let lookup = Exact_u.Table.create (Array.length entries * 2) in
   Array.iteri
     (fun i e ->
-      let key = Exact_u.key (Exact_u.canonicalize e.u) in
+      let key = Exact_u.canonical_key e.u in
       match Exact_u.Table.find_opt lookup key with
       | Some j ->
           let better =
@@ -80,32 +80,35 @@ let of_entries ~max_t entries =
   done;
   { max_t; entries; lookup; offsets }
 
+(* Entry [p·24 + i] is prefix [p] (in level order) followed by Clifford
+   [i], written straight into its slot.  [ccount] is additive over the
+   concatenation, so it is counted once per prefix and once per
+   Clifford, not once per entry. *)
 let build max_t =
-  let levels = prefixes_by_level max_t in
-  let buf = ref [] in
-  let n = ref 0 in
-  for k = 0 to max_t do
-    List.iter
-      (fun (word, u) ->
-        Array.iter
-          (fun (c : Clifford.element) ->
-            let seq = word @ c.Clifford.word in
-            let full = Exact_u.mul u c.Clifford.u in
-            let entry =
-              {
-                seq;
-                u = full;
-                mat = Exact_u.to_mat2 full;
-                tcount = k;
-                ccount = Ctgate.clifford_count seq;
-              }
-            in
-            buf := entry :: !buf;
-            incr n)
-          Clifford.elements)
-      levels.(k)
-  done;
-  let entries = Array.of_list (List.rev !buf) in
+  let prefixes =
+    prefixes_by_level max_t
+    |> Array.mapi (fun k level ->
+           List.map (fun (word, u) -> (k, word, u, Ctgate.clifford_count word)) level)
+    |> Array.to_list |> List.concat |> Array.of_list
+  in
+  let cliffords = Clifford.elements in
+  let nc = Array.length cliffords in
+  let clifford_ccounts =
+    Array.map (fun (c : Clifford.element) -> Ctgate.clifford_count c.word) cliffords
+  in
+  let entries =
+    Array.init (Array.length prefixes * nc) (fun n ->
+        let k, word, u, prefix_ccount = prefixes.(n / nc) in
+        let c = cliffords.(n mod nc) in
+        let full = Exact_u.mul u c.u in
+        {
+          seq = word @ c.word;
+          u = full;
+          mat = Exact_u.to_mat2 full;
+          tcount = k;
+          ccount = prefix_ccount + clifford_ccounts.(n mod nc);
+        })
+  in
   assert (Array.length entries = theoretical_count max_t);
   of_entries ~max_t entries
 
@@ -117,7 +120,11 @@ let truncate table max_t =
 (* Tables are expensive to build once max_t grows; share them.  The
    cache is consulted from worker-pool domains, so it is mutex
    -guarded; holding the lock across [build] also means concurrent
-   requests for the same depth build the table once, not N times. *)
+   requests for the same depth build the table once, not N times.  A
+   shallower depth is cut from any deeper cached table: the enumeration
+   is level by level, so [build m] is the first [offsets.(m + 1)]
+   entries of every deeper build, and [of_entries] makes the cut
+   bit-identical to it. *)
 let cache : (int, t) Hashtbl.t = Hashtbl.create 4
 let cache_lock = Mutex.create ()
 
@@ -129,7 +136,8 @@ let get max_t =
       match Hashtbl.find_opt cache max_t with
       | Some t -> t
       | None ->
-          let t = build max_t in
+          let deeper = Hashtbl.fold (fun m t acc -> if m > max_t then Some t else acc) cache None in
+          let t = match deeper with Some d -> truncate d max_t | None -> build max_t in
           Hashtbl.add cache max_t t;
           t)
 
@@ -211,7 +219,7 @@ let get_for ~gate_set max_t =
              gate_set known)
 
 let lookup_best table u =
-  match Exact_u.Table.find_opt table.lookup (Exact_u.key (Exact_u.canonicalize u)) with
+  match Exact_u.Table.find_opt table.lookup (Exact_u.canonical_key u) with
   | Some i -> Some table.entries.(i)
   | None -> None
 

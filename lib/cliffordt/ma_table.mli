@@ -25,7 +25,8 @@ val theoretical_count : int -> int
 
 val build : int -> t
 val get : int -> t
-(** Memoized [build]. *)
+(** Memoized [build].  When a deeper table is already cached, the result
+    is its {!truncate}, which equals [build] entry for entry. *)
 
 val of_entries : max_t:int -> entry array -> t
 (** Rebuild the lookup/offset structure around an entry array already

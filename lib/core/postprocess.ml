@@ -6,56 +6,81 @@
     replace it whenever the step-0 table knows a cheaper equivalent
     (fewer T, then fewer Cliffords, then shorter), iterating to a
     fixpoint.  Replacements are exact up to global phase, which is the
-    equivalence the synthesis works under. *)
+    equivalence the synthesis works under.
 
-let better_cost (t1, c1, l1) (t2, c2, l2) =
-  t1 < t2 || (t1 = t2 && (c1 < c2 || (c1 = c2 && l1 < l2)))
+    Each pass rewrites the leftmost start position that has a cheaper
+    window (its longest such window).  After a rewrite at [start] the
+    next pass resumes at [start − max_window], not at 0, and rewrites
+    exactly what a scan from 0 would.  A window is at most [max_window]
+    gates long, so every window starting before [start − max_window]
+    ends at or before [start], inside the unchanged prefix.  Those
+    windows were already scanned and none was cheaper; the earlier
+    passes had either scanned them or resumed past them by this same
+    argument.  The rewrite sequence, and so the result under any
+    [max_iters], is that of a rescan from 0. *)
 
-let cost_of seq = (Ctgate.t_count seq, Ctgate.clifford_count seq, List.length seq)
+let is_counted_clifford g = Ctgate.is_clifford g && not (Ctgate.is_pauli g)
 
-(* One pass: find the leftmost window with a strictly cheaper table
-   equivalent and rewrite it.  Returns None at fixpoint. *)
-let improve_pass table max_window gates =
-  let arr = Array.of_list gates in
+(* Whether [seq] is strictly cheaper than a window of [t] T gates, [c]
+   non-Pauli Cliffords and [l] gates, counting [seq] in one pass. *)
+let rec cheaper seq ~t ~c ~l st sc sl =
+  match seq with
+  | [] -> st < t || (st = t && (sc < c || (sc = c && sl < l)))
+  | g :: rest ->
+      cheaper rest ~t ~c ~l
+        (if Ctgate.is_t g then st + 1 else st)
+        (if is_counted_clifford g then sc + 1 else sc)
+        (sl + 1)
+
+(* The leftmost start at or after [from] with a strictly cheaper table
+   equivalent, as (start, stop, replacement) for its longest such
+   window.  Each window extends the previous one by one gate, so its
+   operator and its counts are one step from the previous ones. *)
+let find_rewrite (table : Ma_table.t) max_window arr from =
   let len = Array.length arr in
-  let rec scan start =
-    if start >= len then None
-    else begin
-      (* Grow the window while its T-count stays within the table. *)
-      let rec try_windows stop u best =
-        if stop > len then best
-        else begin
-          let u = Exact_u.mul u (Exact_u.of_gate arr.(stop - 1)) in
-          let window_t = Ctgate.t_count (Array.to_list (Array.sub arr start (stop - start))) in
-          if window_t > table.Ma_table.max_t || stop - start > max_window then best
-          else begin
-            let window = Array.to_list (Array.sub arr start (stop - start)) in
-            let best =
-              match Ma_table.lookup_best table u with
-              | Some e when better_cost (cost_of e.Ma_table.seq) (cost_of window) ->
-                  Some (stop, e.Ma_table.seq)
-              | _ -> best
-            in
-            try_windows (stop + 1) u best
-          end
-        end
-      in
-      match try_windows (start + 1) Exact_u.identity None with
-      | Some (stop, replacement) ->
-          let prefix = Array.to_list (Array.sub arr 0 start) in
-          let suffix = Array.to_list (Array.sub arr stop (len - stop)) in
-          Some (prefix @ replacement @ suffix)
-      | None -> scan (start + 1)
-    end
-  in
-  scan 0
+  let found = ref None in
+  let start = ref from in
+  while Option.is_none !found && !start < len do
+    let s = !start in
+    let u = ref Exact_u.identity and wt = ref 0 and wc = ref 0 in
+    let stop = ref (s + 1) and grow = ref true and best = ref None in
+    (* Grow the window while its T count stays within the table. *)
+    while !grow && !stop <= len do
+      let g = arr.(!stop - 1) in
+      let t = if Ctgate.is_t g then !wt + 1 else !wt in
+      let l = !stop - s in
+      if t > table.max_t || l > max_window then grow := false
+      else begin
+        u := Exact_u.mul_gate !u g;
+        wt := t;
+        if is_counted_clifford g then incr wc;
+        (match Ma_table.lookup_best table !u with
+        | Some e when cheaper e.seq ~t ~c:!wc ~l 0 0 0 -> best := Some (!stop, e.seq)
+        | _ -> ());
+        incr stop
+      end
+    done;
+    match !best with
+    | Some (stop, replacement) -> found := Some (s, stop, replacement)
+    | None -> incr start
+  done;
+  !found
 
 let run ?(max_window = 24) ?(max_iters = 200) table gates =
-  let rec loop gates iters =
-    if iters = 0 then gates
+  let rec loop arr from iters =
+    if iters = 0 then arr
     else
-      match improve_pass table max_window gates with
-      | Some gates' -> loop gates' (iters - 1)
-      | None -> gates
+      match find_rewrite table max_window arr from with
+      | Some (start, stop, replacement) ->
+          let arr =
+            Array.concat
+              [
+                Array.sub arr 0 start;
+                Array.of_list replacement;
+                Array.sub arr stop (Array.length arr - stop);
+              ]
+          in
+          loop arr (max 0 (start - max_window)) (iters - 1)
+      | None -> arr
   in
-  loop gates max_iters
+  Array.to_list (loop (Array.of_list gates) 0 max_iters)

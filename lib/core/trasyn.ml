@@ -353,10 +353,3 @@ let synthesize_timed ?(config = default_config) ?(deadline = Obs.Deadline.none) 
     end
   in
   go 0 None
-
-(* Convenience entry points used by the pipelines. *)
-let synthesize_u3 ?config ~theta ~phi ~lam ~budgets () =
-  synthesize ?config ~target:(Mat2.u3 theta phi lam) ~budgets ()
-
-let synthesize_rz ?config ~theta ~budgets () =
-  synthesize ?config ~target:(Mat2.rz theta) ~budgets ()

@@ -46,7 +46,7 @@ let bfs_generate (gs : Gateset.t) ~max_t =
     let q = Queue.create () in
     let out = ref [] in
     let admit (seq, u) =
-      let key = Exact_u.key (Exact_u.canonicalize u) in
+      let key = Exact_u.canonical_key u in
       if not (Exact_u.Table.mem visited key) then begin
         Exact_u.Table.add visited key ();
         out := (seq, u) :: !out;

@@ -76,7 +76,7 @@ let ma_tests =
         let seen = Exact_u.Table.create 1024 in
         Array.iter
           (fun (e : Ma_table.entry) ->
-            let key = Exact_u.key (Exact_u.canonicalize e.Ma_table.u) in
+            let key = Exact_u.canonical_key e.Ma_table.u in
             Alcotest.(check bool) "fresh" false (Exact_u.Table.mem seen key);
             Exact_u.Table.add seen key ())
           (Ma_table.entries_in_range table ~lo:0 ~hi:4));
@@ -124,3 +124,103 @@ let ma_tests =
   ]
 
 let suite = exact_vs_float_tests @ clifford_tests @ ma_tests
+
+(* Oracles for the direct-int kernels: each one against the generic
+   [Zomega.Native] arithmetic it replaces.  Arbitrary coefficient
+   matrices (not only unitaries, and not necessarily reduced) exercise
+   the √2 reduction on every residue pattern. *)
+
+module O = Zomega.Native
+
+let gen_word =
+  QCheck2.Gen.(list_size (int_range 0 30) (oneofl Ctgate.[ H; S; Sdg; T; Tdg; X; Y; Z ]))
+
+let gen_raw =
+  QCheck2.Gen.(
+    let n = int_range (-20) 20 in
+    let z = map (fun (a, b, c, d) -> O.of_ints a b c d) (quad n n n n) in
+    map
+      (fun ((a, b), (c, d), k) -> { Exact_u.a; b; c; d; k })
+      (triple (pair z z) (pair z z) (int_range 0 4)))
+
+let gen_exact = QCheck2.Gen.(oneof [ map Exact_u.of_seq gen_word; gen_raw ])
+let print_exact = Exact_u.to_string
+
+let rec reference_reduce (u : Exact_u.t) =
+  if u.k = 0 then u
+  else
+    match (O.div_sqrt2_opt u.a, O.div_sqrt2_opt u.b, O.div_sqrt2_opt u.c, O.div_sqrt2_opt u.d) with
+    | Some a, Some b, Some c, Some d -> reference_reduce { a; b; c; d; k = u.k - 1 }
+    | _ -> u
+
+let reference_mul (u : Exact_u.t) (v : Exact_u.t) =
+  reference_reduce
+    {
+      a = O.add (O.mul u.a v.a) (O.mul u.b v.c);
+      b = O.add (O.mul u.a v.b) (O.mul u.b v.d);
+      c = O.add (O.mul u.c v.a) (O.mul u.d v.c);
+      d = O.add (O.mul u.c v.b) (O.mul u.d v.d);
+      k = u.k + v.k;
+    }
+
+let entries_identical (x : Ma_table.entry) (y : Ma_table.entry) =
+  let bits (z : Cplx.t) = (Int64.bits_of_float z.Cplx.re, Int64.bits_of_float z.Cplx.im) in
+  let mat_bits (m : Mat2.t) = List.map bits Mat2.[ m.m00; m.m01; m.m10; m.m11 ] in
+  x.seq = y.seq && Exact_u.key x.u = Exact_u.key y.u && mat_bits x.mat = mat_bits y.mat
+  && x.tcount = y.tcount && x.ccount = y.ccount
+
+let fast_kernel_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"canonical_key is the least phase-multiple key"
+         ~print:print_exact gen_exact (fun u ->
+           let keys = List.init 8 (fun j -> Exact_u.key (Exact_u.mul_phase u j)) in
+           Exact_u.canonical_key u = List.fold_left min (List.hd keys) keys));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"mul_gate equals mul by the gate's matrix"
+         ~print:print_exact gen_exact (fun u ->
+           List.for_all
+             (fun g ->
+               Exact_u.key (Exact_u.mul_gate u g) = Exact_u.key (Exact_u.mul u (Exact_u.of_gate g)))
+             Ctgate.[ H; S; Sdg; T; Tdg; X; Y; Z ]));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"direct-int mul equals the functor product"
+         ~print:QCheck2.Print.(pair print_exact print_exact)
+         QCheck2.Gen.(pair gen_exact gen_exact)
+         (fun (u, v) -> Exact_u.key (Exact_u.mul u v) = Exact_u.key (reference_mul u v)));
+    Alcotest.test_case "key hash reads all 17 ints" `Quick (fun () ->
+        let table = Ma_table.get 4 in
+        Array.iter
+          (fun (e : Ma_table.entry) ->
+            let k = Exact_u.canonical_key e.Ma_table.u in
+            for i = 10 to 16 do
+              let k' = Array.copy k in
+              k'.(i) <- k'.(i) + 1;
+              if Exact_u.Key.hash k = Exact_u.Key.hash k' then
+                Alcotest.failf "keys differing at int %d share a hash" i
+            done)
+          table.Ma_table.entries);
+    Alcotest.test_case "get 8 after get 10 equals build 8" `Slow (fun () ->
+        let deep = Ma_table.get 10 in
+        let cut = Ma_table.get 8 and built = Ma_table.build 8 in
+        Alcotest.(check int) "max_t" built.Ma_table.max_t cut.Ma_table.max_t;
+        Alcotest.(check (array int)) "offsets" built.Ma_table.offsets cut.Ma_table.offsets;
+        Alcotest.(check int) "size" (Ma_table.size built) (Ma_table.size cut);
+        Array.iteri
+          (fun i e ->
+            if not (entries_identical e cut.Ma_table.entries.(i)) then
+              Alcotest.failf "entry %d differs" i;
+            let look t =
+              Option.map (fun (x : Ma_table.entry) -> x.seq) (Ma_table.lookup_best t e.Ma_table.u)
+            in
+            if look built <> look cut then Alcotest.failf "lookup of entry %d differs" i)
+          built.Ma_table.entries;
+        (* A depth no other test asks for: it must be cut from the cached
+           depth-10 table, sharing its entries. *)
+        let nine = Ma_table.get 9 in
+        Alcotest.(check bool) "depth 9 shares the depth-10 entries" true
+          (Array.for_all2 ( == ) nine.Ma_table.entries
+             (Array.sub deep.Ma_table.entries 0 (Ma_table.size nine))));
+  ]
+
+let suite = suite @ fast_kernel_tests

@@ -128,7 +128,7 @@ let test_bfs_matches_closed_form () =
       let ma = Ma_table.build m in
       Array.iter
         (fun (e : Ma_table.entry) ->
-          let key = Exact_u.key (Exact_u.canonicalize e.Ma_table.u) in
+          let key = Exact_u.canonical_key e.Ma_table.u in
           if not (Exact_u.Table.mem t.Ma_table.lookup key) then
             Alcotest.failf "bfs table at m=%d misses an MA operator" m)
         ma.Ma_table.entries)

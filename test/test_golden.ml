@@ -105,6 +105,19 @@ let ledger_ids_digest jobs =
   List.map (fun (r : Ledger.record) -> r.Ledger.target) (Ledger.records ())
   |> List.sort compare |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
+(* The shipped TRASYN configuration, as [compile_cli -w trasyn] runs
+   it: the depth-10 step-0 table, its lookup and the step-3 peephole
+   at that depth, on two small members of the 187-circuit suite. *)
+let shipped_trasyn_digest jobs =
+  let suite = Suite.all () in
+  let config = (Stream_compile.config ()).Stream_compile.trasyn in
+  List.map
+    (fun name ->
+      let b = List.find (fun (b : Suite.benchmark) -> b.Suite.name = name) suite in
+      digest_of (Pipeline.run_trasyn ~epsilon:0.07 ~config ~jobs b.Suite.circuit).Pipeline.circuit)
+    [ "qpe-5"; "qaoa-4-p3-1" ]
+  |> String.concat " "
+
 let suite =
   List.map
     (fun (name, want, compile) ->
@@ -121,4 +134,7 @@ let suite =
         ("stream qaoa prefix text", "559e4dee32bb18eaaa579ba01dc0be2f", stream_text_digest);
         ("stream qaoa prefix u3", "9c312e7c036d52b81a211e95ed6002c9", stream_u3_digest);
         ("trasyn ledger ids", "a8f0a1c83fb6f7d274f021db50325fcd", ledger_ids_digest);
+        ( "trasyn shipped config",
+          "ddcde36b81b25b3d53942a3aacf6c5d7 aad850657301a7e9cf0e86fcd613e2eb",
+          shipped_trasyn_digest );
       ])

@@ -187,7 +187,7 @@ let synthesis_tests =
            let r = Trasyn.to_error ~config ~target ~budgets:[ 8; 8 ] ~epsilon:0.07 () in
            r.Trasyn.distance <= 0.07));
     Alcotest.test_case "rz targets synthesize too" `Quick (fun () ->
-        let r = Trasyn.synthesize_rz ~theta:0.61 ~budgets:[ 8; 8 ] () in
+        let r = Trasyn.synthesize ~target:(Mat2.rz 0.61) ~budgets:[ 8; 8 ] () in
         Alcotest.(check bool) "small" true (r.Trasyn.distance < 0.05));
   ]
 
@@ -443,3 +443,123 @@ let chain_reuse_tests =
   ]
 
 let suite = suite @ chain_reuse_tests
+
+(* The step-3 peephole as it was before windows were extended gate by
+   gate and the fixpoint scan resumed near the last rewrite, kept
+   verbatim as the reference the fast implementation must reproduce. *)
+module Reference_postprocess = struct
+  let better_cost (t1, c1, l1) (t2, c2, l2) =
+    t1 < t2 || (t1 = t2 && (c1 < c2 || (c1 = c2 && l1 < l2)))
+
+  let cost_of seq = (Ctgate.t_count seq, Ctgate.clifford_count seq, List.length seq)
+
+  (* One pass: find the leftmost window with a strictly cheaper table
+     equivalent and rewrite it.  Returns None at fixpoint. *)
+  let improve_pass table max_window gates =
+    let arr = Array.of_list gates in
+    let len = Array.length arr in
+    let rec scan start =
+      if start >= len then None
+      else begin
+        (* Grow the window while its T-count stays within the table. *)
+        let rec try_windows stop u best =
+          if stop > len then best
+          else begin
+            let u = Exact_u.mul u (Exact_u.of_gate arr.(stop - 1)) in
+            let window_t = Ctgate.t_count (Array.to_list (Array.sub arr start (stop - start))) in
+            if window_t > table.Ma_table.max_t || stop - start > max_window then best
+            else begin
+              let window = Array.to_list (Array.sub arr start (stop - start)) in
+              let best =
+                match Ma_table.lookup_best table u with
+                | Some e when better_cost (cost_of e.Ma_table.seq) (cost_of window) ->
+                    Some (stop, e.Ma_table.seq)
+                | _ -> best
+              in
+              try_windows (stop + 1) u best
+            end
+          end
+        in
+        match try_windows (start + 1) Exact_u.identity None with
+        | Some (stop, replacement) ->
+            let prefix = Array.to_list (Array.sub arr 0 start) in
+            let suffix = Array.to_list (Array.sub arr stop (len - stop)) in
+            Some (prefix @ replacement @ suffix)
+        | None -> scan (start + 1)
+      end
+    in
+    scan 0
+
+  let run ?(max_window = 24) ?(max_iters = 200) table gates =
+    let rec loop gates iters =
+      if iters = 0 then gates
+      else
+        match improve_pass table max_window gates with
+        | Some gates' -> loop gates' (iters - 1)
+        | None -> gates
+    in
+    loop gates max_iters
+end
+
+let gen_postprocess_case =
+  QCheck2.Gen.(
+    triple
+      (list_size (int_range 0 80) (oneofl Ctgate.[ H; S; Sdg; T; Tdg; X; Y; Z ]))
+      (int_range 1 24) (int_range 0 10))
+
+let print_postprocess_case (w, max_window, max_iters) =
+  Printf.sprintf "%s window=%d iters=%d" (Ctgate.seq_to_string w) max_window max_iters
+
+let postprocess_oracle depth =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:(Printf.sprintf "postprocess equals the reference at depth %d" depth)
+       ~print:print_postprocess_case gen_postprocess_case
+       (fun (w, max_window, max_iters) ->
+         let table = Ma_table.get depth in
+         Postprocess.run ~max_window ~max_iters table w
+         = Reference_postprocess.run ~max_window ~max_iters table w
+         && Postprocess.run table w = Reference_postprocess.run table w))
+
+let postprocess_oracle_tests =
+  [
+    postprocess_oracle 6;
+    postprocess_oracle 10;
+    Alcotest.test_case "postprocess rescans windows reaching into a rewrite" `Quick (fun () ->
+        (* Words where a rewrite makes a window starting one or two gates
+           to its left cheaper, so resuming the scan too close to the
+           rewrite would change the result. *)
+        let table = Ma_table.get 6 in
+        List.iter
+          (fun w ->
+            let w = Ctgate.seq_of_string w in
+            Alcotest.(check string) "max_window 3"
+              (Ctgate.seq_to_string (Reference_postprocess.run ~max_window:3 table w))
+              (Ctgate.seq_to_string (Postprocess.run ~max_window:3 table w)))
+          [
+            "HssTZsSHstYYtXHZsZHtYYstXXYSsXT";
+            "TXSSHHSXsSZYHtZXYZssTXttXsSYYTHtYtZsHXHXTsYHTYsHH";
+            "HttTSYYZtZZttHtXHXTSXSTtZXsX";
+          ]);
+    Alcotest.test_case "postprocess equals the reference on sampled words" `Slow (fun () ->
+        (* The raw words step 3 sees at the shipped depth: the best
+           sample of a two-site chain, before post-processing. *)
+        let config =
+          { Trasyn.default_config with table_t = 10; samples = 48; beam = 4; post_process = false }
+        in
+        let table = Ma_table.get 10 in
+        let rng = Random.State.make [| 15 |] in
+        for i = 1 to 12 do
+          let target = Mat2.random_unitary rng in
+          let w = (Trasyn.synthesize ~config ~target ~budgets:[ 10; 10 ] ()).Trasyn.seq in
+          List.iter
+            (fun max_window ->
+              Alcotest.(check string)
+                (Printf.sprintf "sample %d window %d" i max_window)
+                (Ctgate.seq_to_string (Reference_postprocess.run ~max_window table w))
+                (Ctgate.seq_to_string (Postprocess.run ~max_window table w)))
+            [ 4; 24 ]
+        done);
+  ]
+
+let suite = suite @ postprocess_oracle_tests
