@@ -1,7 +1,7 @@
 (* Long-running batch synthesis server: line-delimited JSON requests on
    stdin (or a Unix-domain socket), one JSON response line per request
-   on stdout (or the socket).  Misses run through the Synth registry
-   with retry/backoff; the persistent store serves hits and absorbs
+   on stdout (or the socket).  Misses run once down the Synth fallback
+   chain; the persistent store serves hits and absorbs
    fresh words; SIGTERM/SIGINT (and EOF, and the shutdown op) drain
    in-flight work and write a final index snapshot, so the next start
    is warm.
@@ -121,8 +121,8 @@ let serve_socket path make_server =
   server
 
 let run store_dir rescan socket epsilon gate_set gateset_files tables backend_chain workers
-    queue_limit max_retries backoff_base backoff_cap request_deadline planner_jobs seed faults
-    ledger_out metrics_out metrics_interval prom_out trace_out =
+    queue_limit request_deadline planner_jobs faults ledger_out metrics_out metrics_interval
+    prom_out trace_out =
   match
     Robust.guarded @@ fun () ->
     (match trace_out with Some p -> Obs.trace_to_file p | None -> ());
@@ -190,12 +190,8 @@ let run store_dir rescan socket epsilon gate_set gateset_files tables backend_ch
         chain;
         workers;
         queue_limit;
-        max_retries;
-        backoff_base_s = backoff_base;
-        backoff_cap_s = backoff_cap;
         request_deadline_s = request_deadline;
         planner_jobs;
-        seed;
       }
     in
     (* Drain on SIGTERM/SIGINT rather than dying mid-request. *)
@@ -247,7 +243,7 @@ let run store_dir rescan socket epsilon gate_set gateset_files tables backend_ch
     let n k = match Obs.Json.member k stats with Some (Obs.Json.Num f) -> f | _ -> 0.0 in
     Printf.eprintf
       "serve: drained after uptime_s=%.3f — %.0f requests (%.0f served, %.0f failed, %.0f shed, \
-       %.0f retries), exiting\n\
+       %.0f fallbacks), exiting\n\
        %!"
       (Server.uptime_s server) (n "requests") (n "served") (n "failed") (n "shed") (n "retries")
   with
@@ -322,20 +318,6 @@ let queue_limit =
         ~doc:"bounded admission queue size; further requests are shed with an 'overloaded' \
               response")
 
-let max_retries =
-  Arg.(
-    value & opt int 3
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:"retry budget for transient failures (backend errors, rung timeouts)")
-
-let backoff_base =
-  Arg.(
-    value & opt float 0.05
-    & info [ "backoff-base" ] ~docv:"SECONDS" ~doc:"first retry backoff; doubles per retry")
-
-let backoff_cap =
-  Arg.(value & opt float 1.0 & info [ "backoff-cap" ] ~docv:"SECONDS" ~doc:"backoff ceiling")
-
 let request_deadline =
   Arg.(
     value
@@ -348,9 +330,6 @@ let planner_jobs =
     value
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N" ~doc:"worker-pool domains for batch requests")
-
-let seed =
-  Arg.(value & opt int 0 & info [ "seed" ] ~doc:"jitter RNG seed (deterministic backoff)")
 
 let faults =
   Arg.(
@@ -401,8 +380,7 @@ let cmd =
        ~doc:"Durable batch synthesis server over the persistent store (line-delimited JSON)")
     Term.(
       const run $ store_dir $ rescan $ socket $ epsilon $ gate_set $ gateset_files $ tables
-      $ backend_chain $ workers $ queue_limit $ max_retries $ backoff_base $ backoff_cap
-      $ request_deadline $ planner_jobs $ seed $ faults $ ledger_out $ metrics_out
-      $ metrics_interval $ prom_out $ trace_out)
+      $ backend_chain $ workers $ queue_limit $ request_deadline $ planner_jobs $ faults
+      $ ledger_out $ metrics_out $ metrics_interval $ prom_out $ trace_out)
 
 let () = exit (Cmd.eval' cmd)

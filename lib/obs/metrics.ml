@@ -230,14 +230,6 @@ let rec nap remaining stop_flag =
   end
 
 let loop st stop_flag =
-  (* Each tick allocates (registry dump, JSON line); at the default
-     minor-heap size the sampler's own minor collections become
-     stop-all-domains barriers that both stall busy workers and land in
-     sampler_wall.  A roomy minor heap makes sampler-triggered barriers
-     rare — same reasoning as the worker pool's domains. *)
-  (let g = Gc.get () in
-   let want = 4 * 1024 * 1024 in
-   if g.Gc.minor_heap_size < want then Gc.set { g with Gc.minor_heap_size = want });
   let prev = ref (Hashtbl.create 64) in
   let prev_t = ref (Obs.Clock.elapsed_s ()) in
   let seq = ref 0 in

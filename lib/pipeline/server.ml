@@ -14,7 +14,6 @@ let c_requests = Obs.counter "server.requests"
 let c_served = Obs.counter "server.served"
 let c_failed = Obs.counter "server.failed"
 let c_shed = Obs.counter "server.shed"
-let c_retries = Obs.counter "server.retries"
 let c_batch = Obs.counter "server.batch.requests"
 let g_queue = Obs.gauge "server.queue.depth"
 let g_in_flight = Obs.gauge "server.in_flight"
@@ -40,12 +39,8 @@ type config = {
   chain : Synth.rung_spec list;
   workers : int;
   queue_limit : int;
-  max_retries : int;
-  backoff_base_s : float;
-  backoff_cap_s : float;
   request_deadline_s : float option;
   planner_jobs : int option;
-  seed : int;
 }
 
 let default_config =
@@ -55,12 +50,8 @@ let default_config =
     chain = Synth.rz_chain ();
     workers = 1;
     queue_limit = 64;
-    max_retries = 3;
-    backoff_base_s = 0.05;
-    backoff_cap_s = 1.0;
     request_deadline_s = None;
     planner_jobs = None;
-    seed = 0;
   }
 
 (* One admitted unit of work: a single rotation, or a whole batch (a
@@ -97,7 +88,6 @@ type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   idle : Condition.t;
-  rng : Random.State.t;  (* backoff jitter; guarded by [mutex] *)
   mutable threads : Thread.t list;
   trace_id : string;  (* one per server instance ("boot") *)
   created_at : float;  (* Obs.Clock.elapsed_s at create *)
@@ -114,7 +104,7 @@ type t = {
   mutable n_served : int;
   mutable n_failed : int;
   mutable n_shed : int;
-  mutable n_retries : int;
+  mutable n_fallbacks : int;  (* rungs past the first, over answered rotations *)
   cmd_counts : (string, int) Hashtbl.t;  (* under [mutex] *)
   cmd_errors : (string, int) Hashtbl.t;  (* under [mutex] *)
   gs_counts : (string, int) Hashtbl.t;  (* rotations per gate set; under [mutex] *)
@@ -161,7 +151,7 @@ let error_response ?(extra = []) ?rid id tag message =
 
 let op_of_target = function Synth.Rz _ -> "rz" | Synth.U3 _ -> "u3"
 
-let success_response (r : rotation) (a : Robust.attempt) source retries =
+let success_response (r : rotation) (a : Robust.attempt) source =
   let open Obs.Json in
   Obj
     [
@@ -176,13 +166,12 @@ let success_response (r : rotation) (a : Robust.attempt) source retries =
       ("distance", Num a.Robust.distance);
       ("backend", Str a.Robust.backend);
       ("fallbacks", Num (float_of_int a.Robust.fallbacks));
-      ("retries", Num (float_of_int retries));
       ("gate_set", Str r.gate_set.Gateset.name);
       ("source", Str (match source with `Store -> "store" | `Fresh -> "fresh"));
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Synthesis with retry/backoff                                        *)
+(* Synthesis                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let deadline_of t (r : rotation) =
@@ -190,52 +179,28 @@ let deadline_of t (r : rotation) =
   | Some s, _ | None, Some s -> Obs.Deadline.after s
   | None, None -> Obs.Deadline.none
 
-(* Transient failures are worth retrying: a Backend_error may be a
-   fault-injected or load-induced blip, a Timeout may have been a
-   rung-level stall while the request deadline still has room.
-   Budget_exhausted and Verification_failed are deterministic — the
-   same chain gives the same answer — so they fail fast. *)
-let transient = function
-  | Robust.Backend_error _ | Robust.Timeout -> true
-  | Robust.Budget_exhausted | Robust.Verification_failed -> false
+(* One pass down the chain is the whole retry policy: its later rungs
+   are the retries, and it fails only once the request deadline has
+   expired or every rung has failed. *)
+let synthesize t (r : rotation) =
+  let config = Synth.config ~gate_set:r.gate_set ~epsilon:r.epsilon () in
+  Synth.run_chain_sourced ~deadline:(deadline_of t r) ~config t.cfg.chain r.target
 
-let synthesize_with_retries t (r : rotation) =
-  let deadline = deadline_of t r in
-  let cfg = Synth.config ~gate_set:r.gate_set ~epsilon:r.epsilon () in
-  let rec attempt k =
-    match Synth.run_chain_sourced ~deadline ~config:cfg t.cfg.chain r.target with
-    | Ok (a, source) -> Ok (a, source, k)
-    | Error f
-      when transient f && k < t.cfg.max_retries && not (Obs.Deadline.expired deadline) ->
-        let back =
-          Float.min t.cfg.backoff_cap_s (t.cfg.backoff_base_s *. Float.pow 2.0 (float_of_int k))
-        in
-        (* Deterministic jitter in [0.5, 1.0] × backoff. *)
-        let jitter = locked t (fun () -> Random.State.float t.rng 1.0) in
-        Unix.sleepf (back *. (0.5 +. (0.5 *. jitter)));
-        Obs.incr c_retries;
-        locked t (fun () -> t.n_retries <- t.n_retries + 1);
-        attempt (k + 1)
-    | Error f -> Error (f, k)
-  in
-  attempt 0
-
-(* Count one rotation's outcome and render its response; success and
-   failure alike report the retries spent. *)
+(* Count one rotation's outcome and render its response. *)
 let outcome_response t (r : rotation) = function
-  | Ok (a, source, retries) ->
+  | Ok (a, source) ->
       Obs.incr c_served;
-      locked t (fun () -> t.n_served <- t.n_served + 1);
-      success_response r a source retries
-  | Error (f, retries) ->
+      locked t (fun () ->
+          t.n_served <- t.n_served + 1;
+          t.n_fallbacks <- t.n_fallbacks + a.Robust.fallbacks);
+      success_response r a source
+  | Error f ->
       Obs.incr c_failed;
       count_error t (op_of_target r.target);
       locked t (fun () -> t.n_failed <- t.n_failed + 1);
-      error_response
-        ~extra:[ ("retries", Obs.Json.Num (float_of_int retries)) ]
-        ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
+      error_response ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
 
-let rotation_response t r = outcome_response t r (synthesize_with_retries t r)
+let rotation_response t r = outcome_response t r (synthesize t r)
 
 (* A batch runs on the deduplicating worker pool: repeated angles
    synthesize once, distinct angles run across domains.  Each element
@@ -264,19 +229,11 @@ let batch_response t id rid rotations =
               { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index }
             in
             Obs.with_request (Some ctx) (fun () ->
-                (* The job never fails from the pool's point of view: its
-                   value is the whole outcome, retry count included. *)
-                ignore
-                  (Pool.submit pool key (fun ~deadline:_ -> Ok (synthesize_with_retries t r)))))
+                ignore (Pool.submit pool key (fun ~deadline:_ -> synthesize t r))))
           keyed;
         List.map (fun (key, r) -> (r, Pool.await pool key)) keyed)
   in
-  let sub =
-    List.map
-      (fun (r, res) ->
-        outcome_response t r (match res with Ok o -> o | Error f -> Error (f, 0)))
-      results
-  in
+  let sub = List.map (fun (r, res) -> outcome_response t r res) results in
   Obj [ ("id", id); ("request_id", Str rid); ("ok", Bool true); ("op", Str "batch"); ("results", Arr sub) ]
 
 (* ------------------------------------------------------------------ *)
@@ -388,7 +345,6 @@ let create ?store ~emit cfg =
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       idle = Condition.create ();
-      rng = Random.State.make [| cfg.seed; 0x5e4e |];
       threads = [];
       (* Unique per boot: pid + monotonic nanoseconds.  Lets traces
          from a warm-restarted server distinguish the two lives. *)
@@ -404,7 +360,7 @@ let create ?store ~emit cfg =
       n_served = 0;
       n_failed = 0;
       n_shed = 0;
-      n_retries = 0;
+      n_fallbacks = 0;
       cmd_counts = Hashtbl.create 8;
       cmd_errors = Hashtbl.create 8;
       gs_counts = Hashtbl.create 8;
@@ -519,13 +475,13 @@ let stats_json t =
     locked t (fun () ->
         ( t.queued_slots,
           t.in_flight,
-          (t.n_requests, t.n_served, t.n_failed, t.n_shed, t.n_retries),
+          (t.n_requests, t.n_served, t.n_failed, t.n_shed, t.n_fallbacks),
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cmd_counts [],
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cmd_errors [],
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.gs_counts [],
           t.slowest ))
   in
-  let n_requests, n_served, n_failed, n_shed, n_retries = counts in
+  let n_requests, n_served, n_failed, n_shed, n_fallbacks = counts in
   let count_obj kvs =
     Obj (List.sort compare kvs |> List.map (fun (k, v) -> (k, Num (float_of_int v))))
   in
@@ -553,7 +509,8 @@ let stats_json t =
        ("served", Num (float_of_int n_served));
        ("failed", Num (float_of_int n_failed));
        ("shed", Num (float_of_int n_shed));
-       ("retries", Num (float_of_int n_retries));
+       (* The chain's fallback rungs are the server's only retries. *)
+       ("retries", Num (float_of_int n_fallbacks));
        ("queued", Num (float_of_int queued));
        ("in_flight", Num (float_of_int in_flight));
        ("workers", Num (float_of_int t.cfg.workers));

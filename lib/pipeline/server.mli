@@ -33,9 +33,10 @@
 
     {b Responses}: [{"id":…,"request_id":"r7","ok":true,"op":"rz",
     "target":"rz(…)","word":"THTS…","t_count":…,"length":…,
-    "distance":…,"backend":…,"fallbacks":…,"retries":…,
-    "gate_set":…,"source":"store"|"fresh"}] on success;
-    [{"id":…,"ok":false,"error":TAG,"message":…,"retries":…}] on
+    "distance":…,"backend":…,"fallbacks":…,
+    "gate_set":…,"source":"store"|"fresh"}] on success, where
+    [fallbacks] counts the chain's rungs past the first;
+    [{"id":…,"ok":false,"error":TAG,"message":…}] on
     failure (batch elements included), where
     [TAG] is ["overloaded"] (admission queue full — backpressure),
     ["bad_request"], or a synthesis failure tag ([timeout],
@@ -55,18 +56,21 @@
     the initial domain can bleed contexts between interleaved requests;
     pool helper domains are always exact.
 
-    {b Durability & degradation}: misses run through [Synth.run_chain]
-    (store consultation included when [Synth.set_store] armed one);
-    transient failures ([Backend_error], [Timeout]) are retried with
-    exponential backoff + deterministic jitter while the per-request
-    deadline allows; the admission queue is bounded and sheds with a
+    {b Durability & degradation}: each rotation, single or batch
+    element, runs once through [Synth.run_chain_sourced] (store
+    consultation included when [Synth.set_store] armed one).  The
+    chain is the only retry policy: its later rungs (for the default
+    Rz ladder a wider GRIDSYNTH retry, TRASYN, then Solovay–Kitaev)
+    are the retries, and it fails with [timeout] only once the request
+    deadline has expired, or with a rung's failure only once every
+    rung has failed.  The admission queue is bounded and sheds with a
     structured [overloaded] response instead of queueing unboundedly;
     {!drain} finishes in-flight work and writes a final store index
     snapshot.
 
     Observability (RED): counters [server.requests], [server.served],
-    [server.failed], [server.shed], [server.retries],
-    [server.batch.requests], plus per-command [server.requests.<op>] /
+    [server.failed], [server.shed], [server.batch.requests], plus
+    per-command [server.requests.<op>] /
     [server.errors.<op>] ([rz], [u3], [batch], [ping], [stats],
     [shutdown], [invalid]); gauges [server.queue.depth] and
     [server.in_flight]; histograms [server.request.duration_s]
@@ -84,18 +88,13 @@ type config = {
   chain : Synth.rung_spec list;  (** fallback ladder for misses *)
   workers : int;  (** worker threads consuming the queue (≥ 1) *)
   queue_limit : int;  (** max queued work items before shedding *)
-  max_retries : int;  (** retry budget for transient failures *)
-  backoff_base_s : float;  (** first backoff; doubles per retry *)
-  backoff_cap_s : float;  (** backoff ceiling *)
   request_deadline_s : float option;  (** default per-request deadline *)
   planner_jobs : int option;  (** worker-pool domains for [batch] ops *)
-  seed : int;  (** jitter RNG seed (deterministic backoff) *)
 }
 
 val default_config : config
 (** ε 0.07, [Gateset.default], the standard Rz ladder, 1 worker,
-    queue 64, 3 retries, base 0.05 s capped at 1 s, no default
-    deadline, the pool's default domain count, seed 0. *)
+    queue 64, no default deadline, the pool's default domain count. *)
 
 type t
 
@@ -120,7 +119,9 @@ val drain : t -> unit
 
 val stats_json : t -> Obs.Json.t
 (** The [stats] op's payload — a live health snapshot:
-    [trace_id], [uptime_s], request/served/failed/shed/retry totals,
+    [trace_id], [uptime_s], request/served/failed/shed totals,
+    [retries] (the [fallbacks] summed over this server's answered
+    rotations),
     [queued] / [in_flight] / [workers] / [queue_limit], per-command
     [commands] / [errors] objects, a [gate_sets] object counting
     admitted rotations per gate-set name (batch elements

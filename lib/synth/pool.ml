@@ -1,6 +1,6 @@
 (* See pool.mli.  The pool is generic over the job result: the compile
-   engine runs Synth chains on it, the server its retrying synthesis,
-   and tests drive it with stubs. *)
+   engine and the server run Synth chains on it, and tests drive it with
+   stubs. *)
 
 let c_jobs = Obs.counter "obs.planner.jobs"
 let c_dedup = Obs.counter "obs.planner.dedup_hits"
@@ -20,21 +20,23 @@ type 'a t = {
   mutable unique : int;
   mutable waits : int;
   mutable helpers : unit Domain.t list;  (* touched by the owner only *)
-  mutable caller_gc : Gc.control option;  (* touched by the owner only *)
 }
 
 (* Synthesis jobs allocate heavily, and every minor collection is a
    stop-all-domains barrier; at the default minor-heap size the barrier
    fires so often that domains spend most of their time synchronizing
-   (measured ~4x slowdown with 4 domains on one core).  While helpers
-   run, every domain of the pool gets a roomier minor heap. *)
+   (measured ~4x slowdown with 4 domains on one core).  Every domain
+   that runs jobs beside a helper gets a roomier minor heap once and
+   keeps it.  The heap never shrinks back: on OCaml 5.1.1, resizing
+   domain 0's minor heap at the end of a run, while server threads and
+   other domains run, crashes serve_cli with SIGSEGV under batch load
+   (test/serve_stress.ml). *)
 let minor_heap_words = 4 * 1024 * 1024
 
 let enlarge_minor_heap () =
   let g = Gc.get () in
   if g.Gc.minor_heap_size < minor_heap_words then
-    Gc.set { g with Gc.minor_heap_size = minor_heap_words };
-  g
+    Gc.set { g with Gc.minor_heap_size = minor_heap_words }
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -97,7 +99,7 @@ let help_until t ready =
   go ()
 
 let helper t idx () =
-  ignore (enlarge_minor_heap ());
+  enlarge_minor_heap ();
   let rec loop () =
     Mutex.lock t.lock;
     while Queue.is_empty t.queue && not t.closed do
@@ -136,7 +138,7 @@ let submit t key work =
            Condition.broadcast t.changed);
        (* Lazily: one helper per unique job beyond the first. *)
        if List.length t.helpers < Int.min t.domains t.unique - 1 then begin
-         if t.helpers = [] then t.caller_gc <- Some (enlarge_minor_heap ());
+         if t.helpers = [] then enlarge_minor_heap ();
          Obs.incr c_domains;
          t.helpers <- Domain.spawn (helper t (List.length t.helpers + 1)) :: t.helpers
        end
@@ -170,7 +172,6 @@ let run ?jobs ?(capacity = max_int) ?(deadline = Obs.Deadline.none) ?job_budget 
       unique = 0;
       waits = 0;
       helpers = [];
-      caller_gc = None;
     }
   in
   Obs.incr c_domains;
@@ -179,7 +180,6 @@ let run ?jobs ?(capacity = max_int) ?(deadline = Obs.Deadline.none) ?job_budget 
         t.closed <- true;
         Queue.clear t.queue;
         Condition.broadcast t.changed);
-    List.iter Domain.join t.helpers;
-    Option.iter Gc.set t.caller_gc
+    List.iter Domain.join t.helpers
   in
   Fun.protect ~finally:shutdown (fun () -> f t)

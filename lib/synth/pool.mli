@@ -24,8 +24,10 @@ val run :
     queue holds at most [capacity] jobs (default unbounded).  When [f]
     returns or raises, unawaited queued jobs are dropped and the
     helpers joined.  A job's deadline is the tighter of [deadline] and
-    [job_budget] seconds from its start.  While helpers run, each
-    domain has a roomier minor heap; the caller's is restored. *)
+    [job_budget] seconds from its start.  Each domain that runs jobs
+    beside a helper grows its minor heap once, and keeps it after the
+    run: shrinking it back while other domains run can crash the
+    process on OCaml 5.1.1. *)
 
 val submit : 'a t -> string -> (deadline:Obs.Deadline.t -> ('a, Robust.failure) result) -> bool
 (** Queue a job under a key; [false] (and nothing queued) when the key

@@ -21,6 +21,11 @@ let make_server ?(cfg = Server.default_config) () =
 
 let cval name = Obs.counter_value (Obs.counter name)
 
+let with_faults spec f =
+  match Robust.Fault.parse spec with
+  | Ok (seed, specs) -> Robust.Fault.with_faults ?seed specs f
+  | Error e -> Alcotest.failf "fault parse: %s" e
+
 let suite =
   [
     Alcotest.test_case "ping, stats and bad requests answer synchronously" `Quick (fun () ->
@@ -111,34 +116,24 @@ let suite =
         | Some (Obs.Json.Arr exemplars) ->
             Alcotest.(check int) "slowest ring holds both requests" 2 (List.length exemplars)
         | _ -> Alcotest.fail "stats without slowest array");
-    Alcotest.test_case "transient failures are retried with backoff, then reported" `Quick
-      (fun () ->
-        (* Every backend rung dead: each attempt fails as a transient
-           backend error, the engine retries max_retries times, and the
-           response carries the failure tag and the retry count. *)
-        (match Robust.Fault.parse "*=fail,seed=3" with
-        | Ok (seed, specs) -> Robust.Fault.configure ?seed specs
-        | Error e -> Alcotest.failf "fault parse: %s" e);
-        Fun.protect ~finally:(fun () -> Robust.Fault.configure []) @@ fun () ->
-        let cfg =
-          { Server.default_config with Server.max_retries = 2; backoff_base_s = 0.001; backoff_cap_s = 0.002 }
-        in
-        let retries0 = cval "server.retries" in
-        let t, out = make_server ~cfg () in
+    Alcotest.test_case "backend failures answer once with their tag" `Quick (fun () ->
+        (* Every backend rung dead: a single and a batch element each run
+           the chain once and answer its failure, with no retry field. *)
+        with_faults "*=fail,seed=3" @@ fun () ->
+        let t, out = make_server () in
         ignore (Server.submit_line t {|{"op":"rz","id":4,"theta":0.37}|});
-        (* A failed batch element reports its retries like a single. *)
         ignore
           (Server.submit_line t {|{"op":"batch","id":5,"requests":[{"op":"rz","theta":0.37}]}|});
         Server.drain t;
-        (match out () with
+        match out () with
         | [ r; b ] ->
-            Alcotest.(check bool) "failed" true (contains r {|"ok":false|});
-            Alcotest.(check bool) "retries reported" true (contains r {|"retries":2|});
+            Alcotest.(check bool) "single failed" true (contains r {|"ok":false|});
+            Alcotest.(check bool) "single tag" true (contains r {|"error":"backend_error"|});
             Alcotest.(check bool) "batch element failed" true (contains b {|"ok":false|});
-            Alcotest.(check bool) "batch element retries reported" true
-              (contains b {|"retries":2|})
+            Alcotest.(check bool) "batch element tag" true (contains b {|"error":"backend_error"|});
+            Alcotest.(check bool) "no retries field" false
+              (contains r {|"retries"|} || contains b {|"retries"|})
         | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
-        Alcotest.(check int) "retry counter" (retries0 + 4) (cval "server.retries"));
     Alcotest.test_case "rz(theta) and rz(theta+2pi) are one rotation to the server" `Quick
       (fun () ->
         let two_pi = 8.0 *. atan 1.0 in
@@ -167,5 +162,30 @@ let suite =
                 Alcotest.(check string) "first element is the engine's id" engine_id (target e1);
                 Alcotest.(check string) "second element is the engine's id" engine_id (target e2)
             | _ -> Alcotest.failf "expected a two-element batch: %s" b)
+        | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+    Alcotest.test_case "a later rung answers and stats.retries counts its fallbacks" `Quick
+      (fun () ->
+        (* Both GRIDSYNTH rungs of the Rz ladder dead: TRASYN answers,
+           and the server's retries total is the response's fallbacks. *)
+        with_faults "gridsynth=fail" @@ fun () ->
+        let t, out = make_server () in
+        let num k j =
+          match Obs.Json.member k j with
+          | Some (Obs.Json.Num f) -> int_of_float f
+          | _ -> Alcotest.failf "field %s missing" k
+        in
+        let retries0 = num "retries" (Server.stats_json t) in
+        ignore (Server.submit_line t {|{"op":"rz","id":7,"theta":0.61,"epsilon":0.1}|});
+        Server.drain t;
+        match out () with
+        | [ r ] -> (
+            match Obs.Json.parse r with
+            | Ok j ->
+                Alcotest.(check bool) "answered" true (Obs.Json.member "ok" j = Some (Obs.Json.Bool true));
+                let fallbacks = num "fallbacks" j in
+                Alcotest.(check bool) "a later rung answered" true (fallbacks >= 1);
+                Alcotest.(check int) "stats.retries grows by the fallbacks" (retries0 + fallbacks)
+                  (num "retries" (Server.stats_json t))
+            | Error e -> Alcotest.failf "response is not JSON: %s" e)
         | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
   ]
