@@ -107,8 +107,7 @@ let run input output workflow epsilon gate_set gateset_files tables optimize est
         match Tablegen.load_and_provide path with
         | Ok (gs, table) ->
             Printf.printf "table    : %s provided for gate set %s (max_t %d, %d entries)\n" path gs
-              table.Ma_table.max_t
-              (Array.length table.Ma_table.entries)
+              table.Ma_table.max_t (Ma_table.size table)
         | Error e -> invalid_arg (Printf.sprintf "--load-table %s: %s" path e))
       tables;
     let gate_set =
@@ -318,7 +317,7 @@ let faults =
     value
     & opt (some string) None
     & info [ "faults" ] ~docv:"SPEC"
-        ~doc:"inject deterministic faults, e.g. 'trasyn=fail' or '*=corrupt\\@0.25,seed=7'; \
+        ~doc:"inject deterministic faults, e.g. 'trasyn=fail' or '*=corrupt@0.25,seed=7'; \
               same grammar as the TGATES_FAULTS environment variable")
 
 let jobs =

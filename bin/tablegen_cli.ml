@@ -13,17 +13,6 @@
 
 open Cmdliner
 
-let entries_equal (a : Ma_table.t) (b : Ma_table.t) =
-  a.Ma_table.max_t = b.Ma_table.max_t
-  && Array.length a.Ma_table.entries = Array.length b.Ma_table.entries
-  && Array.for_all2
-       (fun (x : Ma_table.entry) (y : Ma_table.entry) ->
-         x.Ma_table.seq = y.Ma_table.seq
-         && Exact_u.equal x.Ma_table.u y.Ma_table.u
-         && x.Ma_table.tcount = y.Ma_table.tcount
-         && x.Ma_table.ccount = y.Ma_table.ccount)
-       a.Ma_table.entries b.Ma_table.entries
-
 let run gate_set gateset_files max_t out verify =
   match
     Robust.guarded @@ fun () ->
@@ -49,7 +38,7 @@ let run gate_set gateset_files max_t out verify =
       | Error e -> invalid_arg ("generation failed: " ^ e)
     in
     Printf.printf "generated: %s max_t=%d — %d entries in %.3f s%s\n" gs.Gateset.name max_t
-      (Array.length table.Ma_table.entries)
+      (Ma_table.size table)
       (Obs.Clock.elapsed_s () -. t0)
       (match gs.Gateset.closed_count with
       | Some f -> Printf.sprintf " (closed form: %d, verified)" (f max_t)
@@ -64,7 +53,7 @@ let run gate_set gateset_files max_t out verify =
           if name <> gs.Gateset.name then
             invalid_arg
               (Printf.sprintf "verify: file names gate set %S, expected %S" name gs.Gateset.name);
-          if not (entries_equal table reloaded) then
+          if not (Ma_table.equal table reloaded) then
             invalid_arg "verify: reloaded table differs from the generated one";
           Printf.printf "verified : round trip is entry-for-entry identical\n"
     end

@@ -63,10 +63,10 @@ let nontrivial_rotation = function
       let table = Lazy.force trivial_table in
       (* 1e-7 sits above the ~sqrt(ulp) floor of the trace distance but
          far below any genuine rotation. *)
-      not
-        (Array.exists
-           (fun (e : Ma_table.entry) -> Mat2.distance m e.Ma_table.mat < 1e-7)
-           table.Ma_table.entries)
+      let rec near i =
+        i < Ma_table.size table && (Mat2.distance m (Ma_table.mat table i) < 1e-7 || near (i + 1))
+      in
+      not (near 0)
   | Qgate.H | Qgate.X | Qgate.Y | Qgate.Z | Qgate.S | Qgate.Sdg | Qgate.T | Qgate.Tdg
   | Qgate.CX | Qgate.CZ | Qgate.Swap | Qgate.Ccx ->
       false

@@ -13,8 +13,8 @@ let cost word =
 (* The closure below keeps the first word it meets among equally cheap
    ones, so which word it picks depends on the order its table iterates
    in.  That order is fixed here by hashing the keys with [Hashtbl.hash],
-   which is what picked the published words; [Exact_u.Table]'s hash may
-   change without moving them, or any step-0 table entry built on them. *)
+   which is what picked the published words; the step-0 table's key
+   hash may change without moving them, or any entry built on them. *)
 module Closure_table = Hashtbl.Make (struct
   type t = int array
 

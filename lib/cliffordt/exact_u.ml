@@ -125,17 +125,32 @@ let of_gate = function
 let of_seq seq = List.fold_left mul_gate identity seq
 
 (* [Zomega.Native.to_complex] with the same float operations in the same
-   order, so the matrices are bit-identical. *)
+   order, so the matrices are bit-identical.  [to_mat2] and
+   [write_planes] share these, so a table's float planes hold exactly
+   the entries of [to_mat2]. *)
 let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
+let scale u = Float.pow (Float.sqrt 2.0) (float_of_int (-u.k))
+let entry_re s (z : O.t) =
+  s *. (float_of_int z.x0 +. ((float_of_int z.x1 -. float_of_int z.x3) *. inv_sqrt2))
+
+let entry_im s (z : O.t) =
+  s *. (float_of_int z.x2 +. ((float_of_int z.x1 +. float_of_int z.x3) *. inv_sqrt2))
 
 let to_mat2 u =
-  let s = Float.pow (Float.sqrt 2.0) (float_of_int (-u.k)) in
-  let conv (z : O.t) =
-    let re = float_of_int z.x0 +. ((float_of_int z.x1 -. float_of_int z.x3) *. inv_sqrt2) in
-    let im = float_of_int z.x2 +. ((float_of_int z.x1 +. float_of_int z.x3) *. inv_sqrt2) in
-    { Cplx.re = s *. re; im = s *. im }
-  in
+  let s = scale u in
+  let conv z = { Cplx.re = entry_re s z; im = entry_im s z } in
   Mat2.make (conv u.a) (conv u.b) (conv u.c) (conv u.d)
+
+let write_planes u re im off =
+  let s = scale u in
+  let put j z =
+    re.(off + j) <- entry_re s z;
+    im.(off + j) <- entry_im s z
+  in
+  put 0 u.a;
+  put 1 u.b;
+  put 2 u.c;
+  put 3 u.d
 
 (* A flat integer key; coefficient magnitudes stay tiny for the T
    budgets the tables use, so native ints are safe. *)
@@ -148,47 +163,78 @@ let key u =
     u.d.x0; u.d.x1; u.d.x2; u.d.x3;
   |]
 
-(* Entry [e] (0..15, after k) of [key (mul_phase u j)], read off [u]
-   without building the phase multiple.  Coefficient p of ω^j·x is
-   x_{(p−j) mod 4}, negated when p − j wraps around once (ω⁴ = −1) and
-   not when it wraps twice (ω⁸ = 1). *)
-let phase_entry u j e =
-  let x = match e lsr 2 with 0 -> u.a | 1 -> u.b | 2 -> u.c | _ -> u.d in
+let key_width = 17
+
+(* Entry [e] (0..15, after k) of [key (mul_phase u j)], read off the
+   raw key of [u] at [off] without building the phase multiple.
+   Coefficient p of ω^j·x is x_{(p−j) mod 4}, negated when p − j wraps
+   around once (ω⁴ = −1) and not when it wraps twice (ω⁸ = 1). *)
+let phase_entry key off j e =
   let m = (e land 3) - j + 8 in
-  let v = match m land 3 with 0 -> x.O.x0 | 1 -> x.x1 | 2 -> x.x2 | _ -> x.x3 in
+  let v = key.(off + 1 + (e land 12) + (m land 3)) in
   if m lsr 2 = 1 then -v else v
 
 (* Lexicographic comparison of the keys of ω^i·u and ω^j·u (their k
    entries agree). *)
-let rec compare_phases u i j e =
+let rec compare_phases key off i j e =
   if e = 16 then 0
   else
-    let c = Int.compare (phase_entry u i e) (phase_entry u j e) in
-    if c <> 0 then c else compare_phases u i j (e + 1)
+    let c = Int.compare (phase_entry key off i e) (phase_entry key off j e) in
+    if c <> 0 then c else compare_phases key off i j (e + 1)
 
-let rec min_phase u best j =
+let rec min_phase key off best j =
   if j = 8 then best
-  else min_phase u (if compare_phases u j best 0 < 0 then j else best) (j + 1)
+  else min_phase key off (if compare_phases key off j best 0 < 0 then j else best) (j + 1)
 
 (* The smallest key over the eight phase multiples ω^j·U: the one key
    the step-0 table, its lookups and the Clifford group are filed
-   under.  Only the winning key is allocated. *)
+   under.  The raw key is written to [dst] at [off], the winning phase
+   is read off it, and each entry's four coefficients are then rotated
+   into place. *)
+let canonical_key_into u dst off =
+  let put e (x : O.t) =
+    dst.(off + e) <- x.x0;
+    dst.(off + e + 1) <- x.x1;
+    dst.(off + e + 2) <- x.x2;
+    dst.(off + e + 3) <- x.x3
+  in
+  dst.(off) <- u.k;
+  put 1 u.a;
+  put 5 u.b;
+  put 9 u.c;
+  put 13 u.d;
+  let j = min_phase dst off 0 1 in
+  if j > 0 then
+    for g = 0 to 3 do
+      let b = off + 1 + (4 * g) in
+      let x0 = dst.(b) and x1 = dst.(b + 1) and x2 = dst.(b + 2) and x3 = dst.(b + 3) in
+      for p = 0 to 3 do
+        let m = p - j + 8 in
+        let v = match m land 3 with 0 -> x0 | 1 -> x1 | 2 -> x2 | _ -> x3 in
+        dst.(b + p) <- (if m lsr 2 = 1 then -v else v)
+      done
+    done
+
 let canonical_key u =
-  let j = min_phase u 0 1 in
-  let key = Array.make 17 u.k in
-  for e = 0 to 15 do
-    key.(e + 1) <- phase_entry u j e
-  done;
+  let key = Array.make key_width 0 in
+  canonical_key_into u key 0;
   key
 
 let equal u v = key u = key v
 let equal_up_to_phase u v = canonical_key u = canonical_key v
 
-(* [Hashtbl.hash] reads only the first 10 ints of a key.  Here all 17
-   ints count as meaningful, and the traversal may visit 18 values: the
-   array block and its 17 fields. *)
-let hash_key (k : int array) = Hashtbl.hash_param 17 18 k
-let hash u = hash_key (key u)
+(* FNV-1a over the 17 ints, then an xor-shift-multiply finalizer so the
+   low bits an open-addressing index masks with depend on every bit of
+   every int.  Each step is a bijection of the 63-bit int, so two keys
+   that differ in one int never share a hash. *)
+let hash_key (key : int array) off =
+  let h = ref 0 in
+  for e = off to off + key_width - 1 do
+    h := (!h lxor key.(e)) * 0x100000001b3
+  done;
+  let h = !h lxor (!h lsr 32) in
+  let h = h * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 29)
 
 (* T-count parity invariant: the smallest denominator exponent grows with
    T gates; used only for sanity checks. *)
@@ -197,12 +243,3 @@ let sde u = u.k
 let to_string u =
   Printf.sprintf "1/sqrt2^%d [[%s, %s], [%s, %s]]" u.k (O.to_string u.a) (O.to_string u.b)
     (O.to_string u.c) (O.to_string u.d)
-
-module Key = struct
-  type nonrec t = int array
-
-  let equal = ( = )
-  let hash = hash_key
-end
-
-module Table = Hashtbl.Make (Key)

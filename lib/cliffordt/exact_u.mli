@@ -47,8 +47,16 @@ val of_seq : Ctgate.t list -> t
 
 val to_mat2 : t -> Mat2.t
 
+val write_planes : t -> float array -> float array -> int -> unit
+(** [write_planes u re im off] writes the entries of [to_mat2 u],
+    row-major, to [re.(off .. off + 3)] and [im.(off .. off + 3)]: the
+    same float operations in the same order, so the bits agree. *)
+
 val key : t -> int array
 (** Flat integer encoding (coefficients stay small at table depths). *)
+
+val key_width : int
+(** 17: the denominator exponent, then the 16 integer coefficients. *)
 
 val canonical_key : t -> int array
 (** The lexicographically smallest {!key} among the eight phase
@@ -56,21 +64,18 @@ val canonical_key : t -> int array
     to a global phase.  Read off the coefficients of U without building
     the multiples, so the only allocation is the key itself. *)
 
+val canonical_key_into : t -> int array -> int -> unit
+(** [canonical_key_into u dst off] writes [canonical_key u] to
+    [dst.(off .. off + key_width − 1)] without allocating. *)
+
+val hash_key : int array -> int -> int
+(** Hash of the {!key_width} ints at an offset; reads all of them, and
+    keys that differ in a single int never share a hash. *)
+
 val equal : t -> t -> bool
 val equal_up_to_phase : t -> t -> bool
-val hash : t -> int
 
 val sde : t -> int
 (** The denominator exponent of the reduced form. *)
 
 val to_string : t -> string
-
-(** Hash tables keyed by {!key} arrays; the hash reads all 17 ints. *)
-module Key : sig
-  type t = int array
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
-module Table : Hashtbl.S with type key = int array

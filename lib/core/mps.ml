@@ -60,20 +60,24 @@ let make_site bank dl dr =
 let c_sweeps = Obs.counter "mps.sweeps"
 let c_samples = Obs.counter "mps.samples_drawn"
 
-(* Bank entry (phys, row, col) lives at bank.re/im.(phys·4 + row·2 + col). *)
+(* Bank entry (phys, row, col) lives at (first + phys)·4 + row·2 + col of
+   the table's re/im planes. *)
+let planes bank =
+  let table = bank.Sitebank.table in
+  (table.Ma_table.re, table.Ma_table.im, bank.Sitebank.first * 4)
 
 (* Single site (l = 1): the tensor is directly the trace values
    Σ_ab conj(U_ab)·M[s]_ab. *)
 let fill_single_site (u : Mat2.t) bank =
   let s = make_site bank 1 1 in
-  let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
+  let bre, bim, first = planes bank in
   let dot acc_re acc_im (z : Cplx.t) mre mim =
     (* conj(z)·m accumulated into (acc_re, acc_im) *)
     (acc_re +. (z.Cplx.re *. mre) +. (z.Cplx.im *. mim),
      acc_im +. (z.Cplx.re *. mim) -. (z.Cplx.im *. mre))
   in
   for phys = 0 to s.n - 1 do
-    let b = phys * 4 in
+    let b = first + (phys * 4) in
     let re, im = dot 0.0 0.0 u.Mat2.m00 bre.(b) bim.(b) in
     let re, im = dot re im u.Mat2.m01 bre.(b + 1) bim.(b + 1) in
     let re, im = dot re im u.Mat2.m10 bre.(b + 2) bim.(b + 2) in
@@ -87,10 +91,10 @@ let fill_single_site (u : Mat2.t) bank =
    bond (c,b): T[s]_(0,(c·2+b)) = Σ_a conj(U_(a,b))·M[s]_(a,c). *)
 let fill_first_site (u : Mat2.t) bank =
   let s = make_site bank 1 4 in
-  let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
+  let bre, bim, first = planes bank in
   let urow b = if b = 0 then (u.Mat2.m00, u.Mat2.m10) else (u.Mat2.m01, u.Mat2.m11) in
   for phys = 0 to s.n - 1 do
-    let base = phys * 4 in
+    let base = first + (phys * 4) in
     for c = 0 to 1 do
       let m0re = bre.(base + c) and m0im = bim.(base + c) in
       let m1re = bre.(base + 2 + c) and m1im = bim.(base + 2 + c) in
@@ -114,19 +118,20 @@ let fill_first_site (u : Mat2.t) bank =
   s
 
 (* Last site: close the composite bond.  T[s]_((c·2+b),0) = M[s]_(c,b),
-   which in flat layout is exactly the bank's own storage. *)
+   which in flat layout is exactly the bank's run of the table planes. *)
 let fill_last_site bank =
   let s = make_site bank 4 1 in
-  Array.blit bank.Sitebank.re 0 s.re 0 (s.n * 4);
-  Array.blit bank.Sitebank.im 0 s.im 0 (s.n * 4);
+  let bre, bim, first = planes bank in
+  Array.blit bre first s.re 0 (s.n * 4);
+  Array.blit bim first s.im 0 (s.n * 4);
   s
 
 (* Middle site: M ⊗ identity line. *)
 let fill_middle_site bank =
   let s = make_site bank 4 4 in
-  let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
+  let bre, bim, first = planes bank in
   for phys = 0 to s.n - 1 do
-    let bankbase = phys * 4 and sitebase = phys * 16 in
+    let bankbase = first + (phys * 4) and sitebase = phys * 16 in
     for c = 0 to 1 do
       for c' = 0 to 1 do
         let mre = bre.(bankbase + (c * 2) + c') and mim = bim.(bankbase + (c * 2) + c') in

@@ -21,16 +21,11 @@
 
 let is_counted_clifford g = Ctgate.is_clifford g && not (Ctgate.is_pauli g)
 
-(* Whether [seq] is strictly cheaper than a window of [t] T gates, [c]
-   non-Pauli Cliffords and [l] gates, counting [seq] in one pass. *)
-let rec cheaper seq ~t ~c ~l st sc sl =
-  match seq with
-  | [] -> st < t || (st = t && (sc < c || (sc = c && sl < l)))
-  | g :: rest ->
-      cheaper rest ~t ~c ~l
-        (if Ctgate.is_t g then st + 1 else st)
-        (if is_counted_clifford g then sc + 1 else sc)
-        (sl + 1)
+(* Whether table entry [i] is strictly cheaper than a window of [t] T
+   gates, [c] non-Pauli Cliffords and [l] gates. *)
+let cheaper table i ~t ~c ~l =
+  let et = Ma_table.tcount table i and ec = Ma_table.ccount table i in
+  et < t || (et = t && (ec < c || (ec = c && Ma_table.word_length table i < l)))
 
 (* The leftmost start at or after [from] with a strictly cheaper table
    equivalent, as (start, stop, replacement) for its longest such
@@ -49,19 +44,19 @@ let find_rewrite (table : Ma_table.t) max_window arr from =
       let g = arr.(!stop - 1) in
       let t = if Ctgate.is_t g then !wt + 1 else !wt in
       let l = !stop - s in
-      if t > table.max_t || l > max_window then grow := false
+      if t > table.Ma_table.max_t || l > max_window then grow := false
       else begin
         u := Exact_u.mul_gate !u g;
         wt := t;
         if is_counted_clifford g then incr wc;
-        (match Ma_table.lookup_best table !u with
-        | Some e when cheaper e.seq ~t ~c:!wc ~l 0 0 0 -> best := Some (!stop, e.seq)
+        (match Ma_table.find table !u with
+        | Some i when cheaper table i ~t ~c:!wc ~l -> best := Some (!stop, i)
         | _ -> ());
         incr stop
       end
     done;
     match !best with
-    | Some (stop, replacement) -> found := Some (s, stop, replacement)
+    | Some (stop, i) -> found := Some (s, stop, Ma_table.word table i)
     | None -> incr start
   done;
   !found

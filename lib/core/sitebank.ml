@@ -1,52 +1,30 @@
 (** Per-site tensor data for TRASYN's MPS.
 
     A site's physical index ranges over all canonical Clifford+T
-    operators within a T-count range (step 0's table), and each index
-    carries its 2×2 matrix.  For the sampler's hot loop the matrices are
-    stored as flat float arrays (row-major, 4 complex entries per
+    operators within a T-count range (step 0's table).  The table sorts
+    by T count, so that range is one contiguous run of entries, and the
+    bank is that run: the sampler reads the matrices straight from the
+    table's flat float planes (row-major, 4 complex entries per
     index). *)
 
-type t = {
-  count : int;
-  re : float array;  (** count × 4 *)
-  im : float array;
-  entries : Ma_table.entry array;  (** entry per physical index *)
-  max_t : int;
-}
-
-let of_entries entries max_t =
-  let count = Array.length entries in
-  let re = Array.make (count * 4) 0.0 and im = Array.make (count * 4) 0.0 in
-  Array.iteri
-    (fun s (e : Ma_table.entry) ->
-      let m = e.Ma_table.mat in
-      let put j (z : Cplx.t) =
-        re.((s * 4) + j) <- z.Cplx.re;
-        im.((s * 4) + j) <- z.Cplx.im
-      in
-      put 0 m.Mat2.m00;
-      put 1 m.Mat2.m01;
-      put 2 m.Mat2.m10;
-      put 3 m.Mat2.m11)
-    entries;
-  { count; re; im; entries; max_t }
+type t = { table : Ma_table.t; first : int; count : int }
 
 (* A site covering T counts lo..hi of the given table. *)
-let of_table table ~lo ~hi = of_entries (Ma_table.entries_in_range table ~lo ~hi) hi
+let of_table (table : Ma_table.t) ~lo ~hi =
+  let hi = min hi table.Ma_table.max_t in
+  let first = table.Ma_table.offsets.(lo) in
+  { table; first; count = table.Ma_table.offsets.(hi + 1) - first }
 
 (* One shared counter for all three accessors: they are the bank's only
    read path, so this is "how often did synthesis consult a sitebank".
    An atomic add is noise next to the float work per lookup. *)
 let c_lookups = Obs.counter "sitebank.lookups"
 
-let matrix bank s =
+let entry bank s =
   Obs.incr c_lookups;
-  bank.entries.(s).Ma_table.mat
+  if s < 0 || s >= bank.count then invalid_arg "Sitebank: physical index out of range";
+  bank.first + s
 
-let sequence bank s =
-  Obs.incr c_lookups;
-  bank.entries.(s).Ma_table.seq
-
-let tcount bank s =
-  Obs.incr c_lookups;
-  bank.entries.(s).Ma_table.tcount
+let matrix bank s = Ma_table.mat bank.table (entry bank s)
+let sequence bank s = Ma_table.word bank.table (entry bank s)
+let tcount bank s = Ma_table.tcount bank.table (entry bank s)

@@ -14,8 +14,9 @@
     [{"schema":"tgates-table/v1","gate_set":NAME,"max_t":M,"entries":N}];
     the following N frames are entries [{"w":WORD,"t":TCOUNT,"c":CCOUNT}]
     in table order (sorted by T count).  The loader re-derives each
-    entry's exact unitary from the word, so the file carries no matrix
-    data that could drift from the arithmetic — a corrupted or
+    entry's exact unitary from the word and fills the table's planes
+    with the builder [Ma_table.build] uses, so the file carries no
+    matrix data that could drift from the arithmetic — a corrupted or
     truncated file fails with a structured [Error], never a silent
     partial table. *)
 
@@ -37,18 +38,18 @@ let bfs_generate (gs : Gateset.t) ~max_t =
   let non_cliffords =
     List.filter (fun g -> not (Ctgate.is_clifford g)) gs.Gateset.generators
   in
-  let visited = Exact_u.Table.create 4096 in
-  let levels = Array.make (max_t + 1) [] in
+  let table = Ma_table.builder ~max_t 4096 in
   (* Close the frontier under Clifford generators (FIFO = shortest word
-     first within the level); returns newly visited (seq, u) pairs in
-     discovery order. *)
+     first within the level).  Each newly visited operator is appended
+     to the table as it is admitted, so discovery order is table order;
+     returns the level's (seq, u) pairs in that order. *)
   let close_level k frontier =
     let q = Queue.create () in
     let out = ref [] in
     let admit (seq, u) =
-      let key = Exact_u.canonical_key u in
-      if not (Exact_u.Table.mem visited key) then begin
-        Exact_u.Table.add visited key ();
+      if not (Ma_table.mem table u) then begin
+        Ma_table.add table (Ctgate.seq_to_string seq) ~tcount:k
+          ~ccount:(Ctgate.clifford_count seq) u;
         out := (seq, u) :: !out;
         Queue.add (seq, u) q
       end
@@ -58,9 +59,9 @@ let bfs_generate (gs : Gateset.t) ~max_t =
       let seq, u = Queue.pop q in
       List.iter (fun g -> admit (seq @ [ g ], Exact_u.mul u (Exact_u.of_gate g))) cliffords
     done;
-    levels.(k) <- List.rev !out
+    List.rev !out
   in
-  close_level 0 [ ([], Exact_u.identity) ];
+  let level = ref (close_level 0 [ ([], Exact_u.identity) ]) in
   for k = 1 to max_t do
     let seeds =
       List.concat_map
@@ -68,23 +69,11 @@ let bfs_generate (gs : Gateset.t) ~max_t =
           List.map
             (fun g -> (seq @ [ g ], Exact_u.mul u (Exact_u.of_gate g)))
             non_cliffords)
-        levels.(k - 1)
+        !level
     in
-    close_level k seeds
+    level := close_level k seeds
   done;
-  let entry k (seq, u) =
-    {
-      Ma_table.seq;
-      u;
-      mat = Exact_u.to_mat2 u;
-      tcount = k;
-      ccount = Ctgate.clifford_count seq;
-    }
-  in
-  let entries =
-    Array.of_list (List.concat (List.mapi (fun k l -> List.map (entry k) l) (Array.to_list levels)))
-  in
-  Ma_table.of_entries ~max_t entries
+  Ma_table.finish table
 
 let generate (gs : Gateset.t) ~max_t =
   if max_t < 0 then Error "tablegen: max_t must be >= 0"
@@ -156,21 +145,33 @@ let save ~path ~gate_set (table : Ma_table.t) =
             ]
         in
         Out_channel.output_string oc (frame (J.to_string header));
-        Array.iter
-          (fun (e : Ma_table.entry) ->
-            let payload =
-              J.Obj
-                [
-                  ("w", J.Str (Ctgate.seq_to_string e.Ma_table.seq));
-                  ("t", J.Num (float_of_int e.Ma_table.tcount));
-                  ("c", J.Num (float_of_int e.Ma_table.ccount));
-                ]
-            in
-            Out_channel.output_string oc (frame (J.to_string payload)))
-          table.Ma_table.entries);
+        for i = 0 to Ma_table.size table - 1 do
+          let payload =
+            J.Obj
+              [
+                ("w", J.Str (Ma_table.word_string table i));
+                ("t", J.Num (float_of_int (Ma_table.tcount table i)));
+                ("c", J.Num (float_of_int (Ma_table.ccount table i)));
+              ]
+          in
+          Out_channel.output_string oc (frame (J.to_string payload))
+        done);
     Sys.rename tmp path;
     Ok ()
   with Sys_error msg -> Error (Printf.sprintf "%s: save %s: %s" schema path msg)
+
+(* A stored word's exact operator (the product [Exact_u.of_seq] forms),
+   T count and non-Pauli Clifford count, in one pass over its bytes.
+   @raise Invalid_argument on a byte that is not a gate. *)
+let word_stats w =
+  let u = ref Exact_u.identity and t = ref 0 and c = ref 0 in
+  String.iter
+    (fun ch ->
+      let g = Ctgate.of_char ch in
+      u := Exact_u.mul_gate !u g;
+      if Ctgate.is_t g then incr t else if not (Ctgate.is_pauli g) then incr c)
+    w;
+  (!u, !t, !c)
 
 let load path =
   let ( let* ) = Result.bind in
@@ -205,7 +206,9 @@ let load path =
         | Some n when n >= 0 -> Ok n
         | _ -> fail "header missing/bad \"entries\""
       in
-      let entries = ref [] in
+      (* Every frame is longer than 16 bytes, so a corrupt count cannot
+         make the table allocate more than the file could hold. *)
+      let table = Ma_table.builder ~max_t (min count (String.length buf / 16)) in
       let rec read_entries i pos =
         if i = count then
           if pos = String.length buf then Ok ()
@@ -219,41 +222,24 @@ let load path =
             | Ok j -> Ok j
             | Error e -> fail "entry %d not JSON: %s" i e
           in
-          let* entry =
+          let* () =
             match (str_member "w" ej, int_member "t" ej, int_member "c" ej) with
             | Some w, Some t, Some c -> (
-                match Ctgate.seq_of_string w with
+                match word_stats w with
                 | exception Invalid_argument m -> fail "entry %d: bad word %S: %s" i w m
-                | seq ->
-                    if Ctgate.t_count seq <> t then
-                      fail "entry %d: stored tcount %d, word has %d" i t
-                        (Ctgate.t_count seq)
-                    else if Ctgate.clifford_count seq <> c then
-                      fail "entry %d: stored ccount %d, word has %d" i c
-                        (Ctgate.clifford_count seq)
-                    else
-                      let u = Exact_u.of_seq seq in
-                      Ok
-                        {
-                          Ma_table.seq;
-                          u;
-                          mat = Exact_u.to_mat2 u;
-                          tcount = t;
-                          ccount = c;
-                        })
+                | u, wt, wc ->
+                    if wt <> t then fail "entry %d: stored tcount %d, word has %d" i t wt
+                    else if wc <> c then fail "entry %d: stored ccount %d, word has %d" i c wc
+                    else (
+                      match Ma_table.add table w ~tcount:t ~ccount:c u with
+                      | () -> Ok ()
+                      | exception Invalid_argument m -> fail "inconsistent entries: %s" m))
             | _ -> fail "entry %d: missing \"w\"/\"t\"/\"c\"" i
           in
-          entries := entry :: !entries;
           read_entries (i + 1) next
       in
       let* () = read_entries 0 pos in
-      let arr = Array.of_list (List.rev !entries) in
-      let* table =
-        match Ma_table.of_entries ~max_t arr with
-        | t -> Ok t
-        | exception Invalid_argument m -> fail "inconsistent entries: %s" m
-      in
-      Ok (gate_set, table)
+      Ok (gate_set, Ma_table.finish table)
 
 let load_and_provide path =
   let ( let* ) = Result.bind in

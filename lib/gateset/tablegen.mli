@@ -7,8 +7,9 @@
     persists the result as CRC-framed records
     ([TGTB <len> <crc32-hex>\n<payload>\n], like [lib/store] segments);
     [load] re-derives each entry's exact unitary from its word and
-    rebuilds the table through [Ma_table.of_entries], so a loaded
-    Clifford+T table is bit-identical to [Ma_table.build].  Corruption
+    fills the table's planes through [Ma_table.add], the builder
+    [Ma_table.build] uses, so a loaded Clifford+T table equals
+    [Ma_table.build] plane for plane.  Corruption
     (bad CRC, truncation, count/schema mismatch) is a structured
     [Error], never a partial table. *)
 

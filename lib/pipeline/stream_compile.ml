@@ -189,15 +189,14 @@ let make_room length reset tbl =
    thresholds.  [None] when the gate genuinely needs synthesis. *)
 let exact_word ~gate_set g =
   let m = Qgate.to_mat2 g in
+  let table = Ma_table.get_for ~gate_set 1 in
+  let cost i = (Ma_table.tcount table i, Ma_table.ccount table i) in
   let best = ref None in
-  Array.iter
-    (fun (e : Ma_table.entry) ->
-      if Mat2.distance m e.Ma_table.mat < 1e-6 then
-        match !best with
-        | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
-        | _ -> best := Some e)
-    (Ma_table.get_for ~gate_set 1).Ma_table.entries;
-  Option.map (fun (e : Ma_table.entry) -> lower e.Ma_table.seq) !best
+  for i = 0 to Ma_table.size table - 1 do
+    if Mat2.distance m (Ma_table.mat table i) < 1e-6 then
+      match !best with Some b when cost b <= cost i -> () | _ -> best := Some i
+  done;
+  Option.map (fun i -> lower (Ma_table.word table i)) !best
 
 exception Abort of Robust.failure
 

@@ -120,15 +120,14 @@ type result = { seq : Ctgate.t list; mat : Mat2.t; distance : float }
 (* Nearest element of the base ε-net (the step-0 table). *)
 let base_approx table target =
   let best = ref None in
-  Array.iter
-    (fun (e : Ma_table.entry) ->
-      let d = Mat2.distance target e.Ma_table.mat in
-      match !best with
-      | Some (bd, _) when bd <= d -> ()
-      | _ -> best := Some (d, e))
-    table.Ma_table.entries;
+  for i = 0 to Ma_table.size table - 1 do
+    let d = Mat2.distance target (Ma_table.mat table i) in
+    match !best with
+    | Some (bd, _) when bd <= d -> ()
+    | _ -> best := Some (d, i)
+  done;
   match !best with
-  | Some (d, e) -> { seq = e.Ma_table.seq; mat = e.Ma_table.mat; distance = d }
+  | Some (d, i) -> { seq = Ma_table.word table i; mat = Ma_table.mat table i; distance = d }
   | None -> invalid_arg "Solovay_kitaev: empty base table"
 
 let rec synthesize_depth table target depth =

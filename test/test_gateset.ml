@@ -33,28 +33,6 @@ let load_exn path =
   | Ok r -> r
   | Error e -> Alcotest.failf "load: %s" e
 
-(* Field-for-field equality of the full table structure.  [entries]
-   and [offsets] carry everything [of_entries] derives the lookup from,
-   so equal entries + offsets means the tables behave identically. *)
-let check_tables_identical what (a : Ma_table.t) (b : Ma_table.t) =
-  Alcotest.(check int) (what ^ ": max_t") a.Ma_table.max_t b.Ma_table.max_t;
-  Alcotest.(check int)
-    (what ^ ": entry count")
-    (Array.length a.Ma_table.entries)
-    (Array.length b.Ma_table.entries);
-  Array.iteri
-    (fun i (x : Ma_table.entry) ->
-      let y = b.Ma_table.entries.(i) in
-      if
-        not
-          (x.Ma_table.seq = y.Ma_table.seq
-          && Exact_u.equal x.Ma_table.u y.Ma_table.u
-          && x.Ma_table.tcount = y.Ma_table.tcount
-          && x.Ma_table.ccount = y.Ma_table.ccount)
-      then Alcotest.failf "%s: entry %d differs" what i)
-    a.Ma_table.entries;
-  Alcotest.(check (array int)) (what ^ ": offsets") a.Ma_table.offsets b.Ma_table.offsets
-
 (* ---- Descriptors and registry ---- *)
 
 let test_builtin_registry () =
@@ -126,12 +104,10 @@ let test_bfs_matches_closed_form () =
       (* Same operator set as the MA enumeration: every MA entry's
          canonical unitary is present. *)
       let ma = Ma_table.build m in
-      Array.iter
-        (fun (e : Ma_table.entry) ->
-          let key = Exact_u.canonical_key e.Ma_table.u in
-          if not (Exact_u.Table.mem t.Ma_table.lookup key) then
-            Alcotest.failf "bfs table at m=%d misses an MA operator" m)
-        ma.Ma_table.entries)
+      for i = 0 to Ma_table.size ma - 1 do
+        if Ma_table.find t (Exact_u.of_seq (Ma_table.word ma i)) = None then
+          Alcotest.failf "bfs table at m=%d misses an MA operator" m
+      done)
     [ 0; 1; 2 ]
 
 (* ---- Roundtrip ---- *)
@@ -140,11 +116,24 @@ let test_roundtrip_bit_identical () =
   with_tmp (fun path ->
       let built = Ma_table.build 3 in
       let generated = generate_exn Gateset.cliffordt ~max_t:3 in
-      check_tables_identical "generate vs build" built generated;
+      Test_cliffordt.check_same_planes "generate vs build" built generated;
       save_exn ~path ~gate_set:"cliffordt" generated;
       let name, loaded = load_exn path in
       Alcotest.(check string) "gate set name" "cliffordt" name;
-      check_tables_identical "load vs build" built loaded)
+      Test_cliffordt.check_same_planes "load vs build" built loaded)
+
+(* A deeper file, loaded straight into planes: every plane equals the
+   in-process enumeration's, and so does every lookup. *)
+let test_load_depth6_planes () =
+  with_tmp (fun path ->
+      let built = Ma_table.build 6 in
+      save_exn ~path ~gate_set:"cliffordt" built;
+      let _, loaded = load_exn path in
+      Test_cliffordt.check_same_planes "depth-6 load vs build" built loaded;
+      for i = 0 to Ma_table.size built - 1 do
+        let u = Exact_u.of_seq (Ma_table.word built i) in
+        if Ma_table.find loaded u <> Some i then Alcotest.failf "loaded lookup of entry %d" i
+      done)
 
 let test_roundtrip_bfs () =
   with_tmp (fun path ->
@@ -152,7 +141,7 @@ let test_roundtrip_bfs () =
       save_exn ~path ~gate_set:"cliffordt-weighted" generated;
       let name, loaded = load_exn path in
       Alcotest.(check string) "gate set name" "cliffordt-weighted" name;
-      check_tables_identical "bfs load" generated loaded)
+      Test_cliffordt.check_same_planes "bfs load" generated loaded)
 
 (* ---- Corruption ---- *)
 
@@ -199,7 +188,7 @@ let test_provide_and_get_for () =
   let table = generate_exn Gateset.cliffordt_weighted ~max_t:2 in
   Ma_table.provide ~gate_set:"test-provided" table;
   let got = Ma_table.get_for ~gate_set:"test-provided" 2 in
-  check_tables_identical "exact depth" table got;
+  Test_cliffordt.check_same_planes "exact depth" table got;
   (* Shallower requests are served by memoized truncation... *)
   let t1 = Ma_table.get_for ~gate_set:"test-provided" 1 in
   Alcotest.(check int) "truncated size" (Ma_table.theoretical_count 1) (Ma_table.size t1);
@@ -231,4 +220,5 @@ let suite =
     Alcotest.test_case "trailing garbage rejected" `Quick test_trailing_garbage;
     Alcotest.test_case "wrong schema rejected" `Quick test_wrong_schema;
     Alcotest.test_case "provide/get_for registry" `Quick test_provide_and_get_for;
+    Alcotest.test_case "depth-6 file loads to build's planes" `Quick test_load_depth6_planes;
   ]

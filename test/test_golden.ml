@@ -118,6 +118,48 @@ let shipped_trasyn_digest jobs =
     [ "qpe-5"; "qaoa-4-p3-1" ]
   |> String.concat " "
 
+(* The depth-10 step-0 table itself, in index order: each entry's word,
+   T count, Clifford count and the IEEE bits of its four matrix
+   entries.  A change to the enumeration order, a word, a count or a
+   single float bit fails here before any compile digest moves. *)
+let table_digest () =
+  let table = Ma_table.get 10 in
+  let b = Buffer.create (1 lsl 22) in
+  let bits (z : Cplx.t) =
+    Printf.bprintf b " %Lx %Lx" (Int64.bits_of_float z.Cplx.re) (Int64.bits_of_float z.Cplx.im)
+  in
+  for i = 0 to Ma_table.size table - 1 do
+    Printf.bprintf b "%s %d %d" (Ma_table.word_string table i) (Ma_table.tcount table i)
+      (Ma_table.ccount table i);
+    let m = Ma_table.mat table i in
+    List.iter bits Mat2.[ m.m00; m.m01; m.m10; m.m11 ];
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The depth-10 lookup on 1,000 seeded random words of at most 24
+   gates: the index it answers (or "-") and that entry's word, so the
+   tie rule between equal operators is pinned too. *)
+let lookup_digest () =
+  let table = Ma_table.get 10 in
+  let rng = Random.State.make [| 17 |] in
+  let gates = Ctgate.[| H; S; Sdg; T; Tdg; X; Y; Z |] in
+  let b = Buffer.create 65536 in
+  for _ = 1 to 1000 do
+    let word = List.init (Random.State.int rng 25) (fun _ -> gates.(Random.State.int rng 8)) in
+    (match Ma_table.find table (Exact_u.of_seq word) with
+    | Some i -> Printf.bprintf b "%d %s" i (Ma_table.word_string table i)
+    | None -> Buffer.add_char b '-');
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let table_cases =
+  [
+    ("step-0 table depth 10", "8b7a5d41d2b7b726d128b1baa19cf150", table_digest);
+    ("step-0 table lookups", "70d2ba312e20a97d7eeaeddf72f0d3c5", lookup_digest);
+  ]
+
 let suite =
   List.map
     (fun (name, want, compile) ->
@@ -138,3 +180,7 @@ let suite =
           "ddcde36b81b25b3d53942a3aacf6c5d7 aad850657301a7e9cf0e86fcd613e2eb",
           shipped_trasyn_digest );
       ])
+  @ List.map
+      (fun (name, want, digest) ->
+        Alcotest.test_case name `Slow (fun () -> Alcotest.(check string) name want (digest ())))
+      table_cases

@@ -151,9 +151,10 @@ let synthesis_tests =
         let r = Trasyn.synthesize ~config ~target ~budgets:[ 5 ] () in
         let table = Ma_table.get 5 in
         let best =
-          Array.fold_left
-            (fun acc (e : Ma_table.entry) -> Float.min acc (Mat2.distance target e.Ma_table.mat))
-            infinity table.Ma_table.entries
+          List.fold_left
+            (fun acc i -> Float.min acc (Mat2.distance target (Ma_table.mat table i)))
+            infinity
+            (List.init (Ma_table.size table) Fun.id)
         in
         Alcotest.(check bool)
           (Printf.sprintf "optimal %.4f vs %.4f" r.Trasyn.distance best)
@@ -471,9 +472,8 @@ module Reference_postprocess = struct
             else begin
               let window = Array.to_list (Array.sub arr start (stop - start)) in
               let best =
-                match Ma_table.lookup_best table u with
-                | Some e when better_cost (cost_of e.Ma_table.seq) (cost_of window) ->
-                    Some (stop, e.Ma_table.seq)
+                match Option.map (Ma_table.word table) (Ma_table.find table u) with
+                | Some seq when better_cost (cost_of seq) (cost_of window) -> Some (stop, seq)
                 | _ -> best
               in
               try_windows (stop + 1) u best
@@ -563,3 +563,56 @@ let postprocess_oracle_tests =
   ]
 
 let suite = suite @ postprocess_oracle_tests
+
+(* A bank is a slice of the table's planes starting at its range's
+   first entry.  Every other test's banks start at T count 0, where the
+   slice offset is 0, so these ranges start past it. *)
+let slice_tests =
+  [
+    Alcotest.test_case "banks past T count 0 read their own slice" `Quick (fun () ->
+        let table = Ma_table.get 3 in
+        let banks =
+          [| Sitebank.of_table table ~lo:2 ~hi:3; Sitebank.of_table table ~lo:1 ~hi:1;
+             Sitebank.of_table table ~lo:3 ~hi:9 |]
+        in
+        Array.iter
+          (fun (b : Sitebank.t) ->
+            for s = 0 to b.Sitebank.count - 1 do
+              let w = Sitebank.sequence b s in
+              Alcotest.(check bool) "matrix is the word's" true
+                (Sitebank.matrix b s = Exact_u.to_mat2 (Exact_u.of_seq w));
+              Alcotest.(check int) "tcount is the word's" (Ctgate.t_count w) (Sitebank.tcount b s)
+            done)
+          banks;
+        Alcotest.(check (list int)) "slice sizes"
+          [ 144 + 288; 72; 288 ]
+          (Array.to_list (Array.map (fun (b : Sitebank.t) -> b.Sitebank.count) banks));
+        List.iter
+          (fun l ->
+            let target = Mat2.random_unitary rng in
+            let banks = Array.sub banks 0 l in
+            let mps = Mps.build ~target banks in
+            for _ = 1 to 20 do
+              let indices = Array.map (fun b -> Random.State.int rng b.Sitebank.count) banks in
+              let w =
+                Array.fold_left
+                  (fun w (i, site) ->
+                    Array.init site.Mps.dr (fun b ->
+                        let acc = ref Cplx.zero in
+                        Array.iteri
+                          (fun a wa ->
+                            acc := Cplx.add !acc (Cplx.mul wa (Mps.site_get site indices.(i) a b)))
+                          w;
+                        !acc))
+                  [| Cplx.one |]
+                  (Array.mapi (fun i site -> (i, site)) mps.Mps.sites)
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "l=%d contraction equals the exact trace" l)
+                true
+                (Cplx.is_close ~tol:1e-9 (Mps.trace_of_indices mps indices) w.(0))
+            done)
+          [ 1; 2; 3 ]);
+  ]
+
+let suite = suite @ slice_tests
