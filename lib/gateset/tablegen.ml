@@ -123,9 +123,11 @@ let read_frame ~what buf pos =
 
 (* ---- Save / load ---- *)
 
+(* Integers are exact in a JSON number up to 2^53; past that
+   [int_of_float] is unspecified (2^63 reads back as 0). *)
 let int_member name j =
   match J.member name j with
-  | Some (J.Num f) when Float.is_integer f -> Some (int_of_float f)
+  | Some (J.Num f) when Float.is_integer f && Float.abs f <= 0x1p53 -> Some (int_of_float f)
   | _ -> None
 
 let str_member name j =
@@ -160,18 +162,11 @@ let save ~path ~gate_set (table : Ma_table.t) =
     Ok ()
   with Sys_error msg -> Error (Printf.sprintf "%s: save %s: %s" schema path msg)
 
-(* A stored word's exact operator (the product [Exact_u.of_seq] forms),
-   T count and non-Pauli Clifford count, in one pass over its bytes.
-   @raise Invalid_argument on a byte that is not a gate. *)
-let word_stats w =
-  let u = ref Exact_u.identity and t = ref 0 and c = ref 0 in
-  String.iter
-    (fun ch ->
-      let g = Ctgate.of_char ch in
-      u := Exact_u.mul_gate !u g;
-      if Ctgate.is_t g then incr t else if not (Ctgate.is_pauli g) then incr c)
-    w;
-  (!u, !t, !c)
+(* The deepest [max_t] a file may declare.  The header's depth sizes
+   the table's T-count offsets before any entry is read, so a corrupt
+   one must fail here rather than reach the allocation; no enumeration
+   gets near it ([Ma_table.theoretical_count] overflows past 60). *)
+let max_depth = 60
 
 let load path =
   let ( let* ) = Result.bind in
@@ -198,7 +193,7 @@ let load path =
       in
       let* max_t =
         match int_member "max_t" hj with
-        | Some m when m >= 0 -> Ok m
+        | Some m when m >= 0 && m <= max_depth -> Ok m
         | _ -> fail "header missing/bad \"max_t\""
       in
       let* count =
@@ -225,13 +220,17 @@ let load path =
           let* () =
             match (str_member "w" ej, int_member "t" ej, int_member "c" ej) with
             | Some w, Some t, Some c -> (
-                match word_stats w with
+                match Ctgate.seq_of_string w with
                 | exception Invalid_argument m -> fail "entry %d: bad word %S: %s" i w m
-                | u, wt, wc ->
-                    if wt <> t then fail "entry %d: stored tcount %d, word has %d" i t wt
-                    else if wc <> c then fail "entry %d: stored ccount %d, word has %d" i c wc
+                | seq ->
+                    if Ctgate.t_count seq <> t then
+                      fail "entry %d: stored tcount %d, word has %d" i t
+                        (Ctgate.t_count seq)
+                    else if Ctgate.clifford_count seq <> c then
+                      fail "entry %d: stored ccount %d, word has %d" i c
+                        (Ctgate.clifford_count seq)
                     else (
-                      match Ma_table.add table w ~tcount:t ~ccount:c u with
+                      match Ma_table.add table w ~tcount:t ~ccount:c (Exact_u.of_seq seq) with
                       | () -> Ok ()
                       | exception Invalid_argument m -> fail "inconsistent entries: %s" m))
             | _ -> fail "entry %d: missing \"w\"/\"t\"/\"c\"" i

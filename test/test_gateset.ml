@@ -182,6 +182,20 @@ let test_wrong_schema () =
       write_file path (Tablegen.frame {|{"schema":"tgates-table/v999"}|});
       expect_error "schema" (Tablegen.load path))
 
+let test_absurd_max_t () =
+  (* The header passes its CRC; only its depth is out of range.  Each
+     must come back as an Error before the depth sizes anything. *)
+  List.iter
+    (fun max_t ->
+      with_tmp (fun path ->
+          write_file path
+            (Tablegen.frame
+               (Printf.sprintf
+                  {|{"schema":"tgates-table/v1","gate_set":"cliffordt","max_t":%s,"entries":0}|}
+                  max_t));
+          expect_error ("max_t " ^ max_t) (Tablegen.load path)))
+    [ "61"; "1000000000000000"; "4611686018427387903"; "9223372036854775807"; "-1" ]
+
 (* ---- Provided-table registry ---- *)
 
 let test_provide_and_get_for () =
@@ -219,6 +233,7 @@ let suite =
     Alcotest.test_case "CRC corruption rejected" `Quick test_crc_corrupted_table;
     Alcotest.test_case "trailing garbage rejected" `Quick test_trailing_garbage;
     Alcotest.test_case "wrong schema rejected" `Quick test_wrong_schema;
+    Alcotest.test_case "out-of-range header max_t rejected" `Quick test_absurd_max_t;
     Alcotest.test_case "provide/get_for registry" `Quick test_provide_and_get_for;
     Alcotest.test_case "depth-6 file loads to build's planes" `Quick test_load_depth6_planes;
   ]
